@@ -99,6 +99,8 @@ void IoReactor::Submit(uint64_t cookie, const wali::IoOp& op) {
   const int64_t now = NowNanos();
   if (op.kind == wali::IoOp::Kind::kSleep) {
     rec.deadline_nanos = now + std::max<int64_t>(op.sleep_nanos, 0);
+  } else if (op.kind == wali::IoOp::Kind::kScripted) {
+    rec.deadline_nanos = now;  // already complete: due on the next turn
   } else if (op.timeout_nanos >= 0) {
     rec.deadline_nanos = now + op.timeout_nanos;
   }
@@ -189,8 +191,8 @@ void IoReactor::Loop() {
         if (pfds[i].revents == 0) {
           continue;
         }
-        // POLLERR/POLLHUP/POLLNVAL also complete: the retry re-issues the
-        // syscall and the kernel reports the truth (EOF, EPIPE, EBADF).
+        // POLLERR/POLLHUP/POLLNVAL also complete: the re-dispatched
+        // syscall reports the truth (EOF, EPIPE, EBADF).
         auto it = ops_.find(pfd_cookies[i - 1]);
         if (it != ops_.end()) {
           due.push_back({it->first, IoCompletion::Ready()});

@@ -80,9 +80,10 @@ struct IoCompletion {
 
   Status status = Status::kReady;
   int64_t value = 0;
-  // When true, `value` IS the syscall result and any retry closure is
-  // skipped. Real backends leave this false (the retry re-issues the now-
-  // ready syscall); fakes use it to script exact results deterministically.
+  // When true, `value` IS the syscall result and the parked syscall is not
+  // re-dispatched. Real backends leave this false (the re-dispatch issues
+  // the now-ready syscall); fakes use it to script exact results
+  // deterministically.
   bool has_value = false;
 
   static IoCompletion Ready() { return IoCompletion{}; }
@@ -145,8 +146,8 @@ class IoBackend {
 // Production backend: one reactor thread multiplexing every parked op over
 // poll(2), woken through a self-pipe on submit/cancel/shutdown, with sleep
 // and timeout deadlines kept in the same table. fd errors (POLLERR/POLLHUP/
-// POLLNVAL) complete as kReady — the retry re-issues the real syscall and
-// surfaces the kernel's own answer (EOF, EPIPE, EBADF, ...).
+// POLLNVAL) complete as kReady — the re-dispatched syscall surfaces the
+// kernel's own answer (EOF, EPIPE, EBADF, ...).
 class IoReactor : public IoBackend {
  public:
   IoReactor();

@@ -553,8 +553,8 @@ struct IoUringBackend::Impl {
       return false;
     }
     // res >= 0: revents mask — readiness. res < 0 (e.g. -EBADF on a closed
-    // fd, the POLLNVAL analogue): also complete kReady, so the retry
-    // re-issues the syscall and the kernel reports the truth.
+    // fd, the POLLNVAL analogue): also complete kReady, so the
+    // re-dispatched syscall reports the truth.
     out->cookie = info.cookie;
     out->completion = IoCompletion::Ready();
     RetireOp(oit, tag);

@@ -1,5 +1,7 @@
 #include "src/host/supervisor.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -8,6 +10,17 @@
 #include "src/wali/trace.h"
 
 namespace host {
+
+namespace {
+
+void CloseFds(std::vector<int>& fds) {
+  for (int fd : fds) {
+    ::close(fd);
+  }
+  fds.clear();
+}
+
+}  // namespace
 
 Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
     : runtime_(runtime),
@@ -292,18 +305,12 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   if (st.evicted) {
     return common::AlreadyExists("evict: run is already evicted");
   }
-  if (st.retry != nullptr) {
-    return common::Unimplemented(
-        "evict: parked op resumes through a live retry closure");
-  }
   if (!st.cont.armed()) {
     return common::FailedPrecondition("evict: no armed continuation");
   }
   wali::WaliProcess& proc = *st.lease;
-  // The real resume closure lives in st.retry (moved out at park); the
-  // process-side slot is moved-from, so pin it to a definite null before
-  // the eligibility checks inside SnapshotProcess look at it.
-  proc.pending_io.retry = nullptr;
+  // Refuses fd-class parks (Unimplemented): they resume by re-dispatching
+  // against live fds, which the snapshot does not carry.
   common::StatusOr<std::vector<uint8_t>> snap =
       wali::SnapshotProcess(proc, st.cont);
   if (!snap.ok()) {
@@ -328,6 +335,10 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   st.saved_env = proc.env;
   st.cont.Discard();
   proc.pending_io.Reset();
+  // The guest's host fds stay open across the eviction: releasing the
+  // lease would close them, and the restored run re-adopts the same
+  // numbers, which by then could name another tenant's files.
+  st.evicted_fds = proc.TakeGuestFds();
   st.lease.Release();  // the slab (the actual memory pressure) goes here
   st.evicted = true;
   evicts_total_.fetch_add(1, std::memory_order_relaxed);
@@ -376,13 +387,17 @@ bool Supervisor::RestoreParked(RunState& st) {
       wali::RestoreProcess(bytes.data(), bytes.size(), proc, st.cont);
   if (!restored.ok()) {
     // The fresh lease goes back clean; the run itself is unrecoverable (its
-    // only state was the snapshot that just failed to decode).
+    // only state was the snapshot that just failed to decode). The evicted
+    // fds are still st's to close, so the slot must not close them too.
+    (void)proc.TakeGuestFds();
     st.lease.Release();
     FinishEvictedUnrestorable(std::move(st),
                               "restore: " + restored.ToString());
     return false;
   }
   proc.policy = st.job.policy;
+  proc.AdoptGuestFds(st.evicted_fds);
+  st.evicted_fds.clear();
   st.evicted = false;
   st.evicted_path.clear();
   restores_total_.fetch_add(1, std::memory_order_relaxed);
@@ -396,6 +411,7 @@ bool Supervisor::RestoreParked(RunState& st) {
 }
 
 void Supervisor::FinishEvictedUnrestorable(RunState st, std::string message) {
+  CloseFds(st.evicted_fds);
   RunReport& report = st.report;
   report.outcome = Outcome::kTrapped;
   report.trap = wasm::TrapKind::kHostError;
@@ -642,9 +658,7 @@ void Supervisor::ParkRun(RunState st) {
                                : report.executed_instrs;
   report.fuel_consumed = report.executed_instrs;
 
-  wali::PendingIo& pio = proc.pending_io;
-  st.retry = std::move(pio.retry);
-  wali::IoOp op = pio.op;
+  wali::IoOp op = proc.pending_io.op;
   st.timeout_is_shed = false;
 
   // Fold the job's queue-style deadline into the parked op: the backend
@@ -768,21 +782,15 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
 
   // Materialize the syscall result: a scripted completion wins outright; a
   // backend error (kError: it could not wait on this op) surfaces its
-  // -errno WITHOUT running the retry — the op never became ready, and
+  // -errno WITHOUT re-dispatching — the op never became ready, and
   // re-issuing the real syscall here would block this worker, exactly what
-  // offload exists to prevent. Otherwise the retry performs the now-ready
-  // syscall on this worker, and a sleep (no retry) completes with 0.
-  int64_t sys_ret;
-  if (c.has_value) {
-    sys_ret = c.value;
-  } else if (c.status == IoCompletion::Status::kError) {
-    sys_ret = c.value;
-  } else if (st.retry != nullptr) {
-    sys_ret = st.retry();
-  } else {
-    sys_ret = 0;
-  }
-  st.retry = nullptr;
+  // offload exists to prevent. Otherwise FinishPark answers: a timer's
+  // result travels in the op, and an fd-class syscall re-runs on this
+  // worker, prompt now that its op is ready.
+  const int64_t sys_ret =
+      c.has_value || c.status == IoCompletion::Status::kError
+          ? c.value
+          : runtime_->FinishPark(proc, st.cont);
 
   // Re-reserve budget slices for the on-worker continuation — the park
   // released this run's reservation back to the tenant's pool. The fresh
@@ -908,6 +916,7 @@ void Supervisor::FinishAbandoned(RunState st, Outcome outcome,
     if (!st.evicted_path.empty()) {
       std::remove(st.evicted_path.c_str());
     }
+    CloseFds(st.evicted_fds);
     RunReport& report = st.report;
     report.outcome = outcome;
     report.trap = wasm::TrapKind::kHostError;

@@ -241,9 +241,12 @@ class Supervisor {
   // consumed-so-far and released the reservation, so an evict/restore
   // cycle adds zero ledger events.
   //
-  // Only pure-data parks are evictable: an op whose resume path captured a
-  // live retry closure (reads/writes re-issued on the worker) refuses with
-  // Unimplemented, and the guest simply stays resident.
+  // Only timer-class parks (sleeps, the threadless futex timer) are
+  // evictable: an fd-class park (read, write, accept, connect, poll)
+  // resumes by re-dispatching its syscall against the guest's live fds,
+  // which the snapshot does not carry, so it refuses with Unimplemented and
+  // the guest simply stays resident. The guest's host fds themselves stay
+  // open while it is evicted; the restore re-adopts them.
 
   // Cookies of currently parked runs, oldest first (for pressure policies:
   // evict the longest-parked first).
@@ -292,8 +295,6 @@ class Supervisor {
     TenantUsage settled;
     bool fuel_clamped = false;
     RunReport report;  // accumulated across on-worker segments
-    // Resume-time syscall closure captured at park (see wali::PendingIo).
-    std::function<int64_t()> retry;
     int64_t park_stamp = 0;       // clock_ at park, for blocked_nanos
     // The backend deadline was tightened to the job's deadline, so a
     // kTimedOut completion means "shed the parked guest", not "the
@@ -310,6 +311,9 @@ class Supervisor {
     std::string evicted_path;
     std::vector<std::string> saved_argv;
     std::vector<std::string> saved_env;
+    // The guest's host fds, taken off the slot before its lease is
+    // released: re-adopted on restore, closed if the run is dropped.
+    std::vector<int> evicted_fds;
   };
 
   struct ReadyEntry {

@@ -72,13 +72,13 @@
 //                    dispositions, syscall trace — to P and exit 0 (see
 //                    src/wasm/snapshot.h for the format). A guest that never
 //                    parks runs to its normal exit and no file is written;
-//                    a park that is not snapshotable (a read/write holding a
-//                    live resume closure) is completed in place instead
+//                    a park that is not snapshotable (a read/write/poll on a
+//                    live fd) is waited out and completed in place instead
 //   --restore P      single-run mode: instead of starting the program at its
 //                    entry point, rebuild the process from the snapshot at P
 //                    (the module must be structurally identical to the one
 //                    snapshotted — same code, not just the same file name),
-//                    complete the parked op natively (a sleep sleeps out its
+//                    wait out the parked op (a sleep sleeps out its
 //                    remaining time), and continue to the normal exit;
 //                    results are bit-identical to the never-parked run
 #include <algorithm>
@@ -90,6 +90,7 @@
 #include <deque>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -636,21 +637,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Completes the op a resumable run parked on, on this thread: a sleep
-  // sleeps out natively; anything with a retry closure just performs the
-  // (now allowed to block) syscall. Returns the syscall result for
-  // ResumeMain. Must run BEFORE ResumeMain, which resets pending_io.
-  auto complete_parked = [](wali::WaliProcess& p) -> int64_t {
-    wali::PendingIo& pio = p.pending_io;
-    if (pio.op.kind == wali::IoOp::Kind::kScripted) {
-      return pio.op.scripted_result;  // syscall already ran; result is known
+  // Finishes the op a resumable run parked on: waits for it on an
+  // IoReactor (the serve path's poll backend), then materializes the
+  // syscall result the way the supervisor does.
+  std::unique_ptr<host::IoReactor> reactor;
+  auto finish_parked = [&](wali::WaliRuntime::MainContinuation& cont) -> int64_t {
+    if (reactor == nullptr) {
+      reactor = std::make_unique<host::IoReactor>();
     }
-    if (pio.op.kind == wali::IoOp::Kind::kSleep && pio.op.sleep_nanos > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pio.op.sleep_nanos));
-    }
-    std::function<int64_t()> retry = std::move(pio.retry);
-    pio.retry = nullptr;
-    return retry ? retry() : 0;
+    std::promise<host::IoCompletion> done;
+    reactor->SetCompletionHandler(
+        [&done](uint64_t, const host::IoCompletion& c) { done.set_value(c); });
+    reactor->Submit(0, (*proc)->pending_io.op);
+    host::IoCompletion c = done.get_future().get();
+    reactor->SetCompletionHandler(nullptr);  // drained before `done` dies
+    return c.has_value || c.status == host::IoCompletion::Status::kError
+               ? c.value
+               : runtime.FinishPark(**proc, cont);
   };
 
   wasm::RunResult r;
@@ -664,28 +667,17 @@ int main(int argc, char** argv) {
       return 1;
     }
     wali::WaliRuntime::MainContinuation cont;
-    wali::IoOp parked_op;
-    common::Status restored = wali::RestoreProcess(
-        bytes.data(), bytes.size(), **proc, cont, &parked_op);
+    common::Status restored =
+        wali::RestoreProcess(bytes.data(), bytes.size(), **proc, cont);
     if (!restored.ok()) {
       std::fprintf(stderr, "walirun: %s\n", restored.ToString().c_str());
       return 1;
     }
-    // The snapshotted run was parked on this op; finish it before resuming
-    // (pure-data ops only — that is what made the snapshot eligible).
-    int64_t first_result = 0;
-    if (parked_op.kind == wali::IoOp::Kind::kScripted) {
-      first_result = parked_op.scripted_result;
-    } else if (parked_op.kind == wali::IoOp::Kind::kSleep &&
-               parked_op.sleep_nanos > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(parked_op.sleep_nanos));
-    }
-    r = runtime.ResumeMain(**proc, cont, first_result);
-    while (r.trap == wasm::TrapKind::kSyscallPending) {
-      int64_t sys_ret = complete_parked(**proc);
-      r = runtime.ResumeMain(**proc, cont, sys_ret);
-    }
+    // The snapshotted run was parked on an op that is now re-armed: finish
+    // it like any other park.
+    do {
+      r = runtime.ResumeMain(**proc, cont, finish_parked(cont));
+    } while (r.trap == wasm::TrapKind::kSyscallPending);
   } else if (!snapshot_out.empty()) {
     wali::WaliRuntime::MainContinuation cont;
     r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
@@ -707,12 +699,11 @@ int main(int argc, char** argv) {
         cont.Discard();
         return 0;
       }
-      // Not snapshotable at this park (live retry closure); complete it in
-      // place and try again at the next one.
+      // Not snapshotable at this park (fd-class op); wait it out, complete
+      // it in place, and try again at the next one.
       std::fprintf(stderr, "walirun: park not snapshotable (%s); continuing\n",
                    snap.status().ToString().c_str());
-      int64_t sys_ret = complete_parked(**proc);
-      r = runtime.ResumeMain(**proc, cont, sys_ret);
+      r = runtime.ResumeMain(**proc, cont, finish_parked(cont));
     }
   } else {
     r = runtime.RunMain(**proc);

@@ -3,13 +3,16 @@
 // A blocking-capable syscall handler that can offload does not block its
 // worker thread: it files a PendingIo on the process — a readiness class
 // (IoOp) the host's completion loop can wait on without knowing anything
-// about WALI or guest memory, plus an optional retry closure that performs
-// the real (now ready, so prompt) syscall on a worker thread at resume —
-// and the dispatch wrapper unwinds the interpreter with
+// about WALI or guest memory — and the dispatch wrapper records the
+// syscall itself as the thin interface sees it (registry id plus six
+// argument words) and unwinds the interpreter with
 // wasm::TrapKind::kSyscallPending. The host supervisor registers the IoOp
 // with its IoBackend (host::IoReactor, or a deterministic fake in tests),
-// parks the job off-worker, and on completion materializes the syscall
-// result into the suspended guest frame via WaliRuntime::ResumeMain.
+// parks the job off-worker, and on completion asks
+// WaliRuntime::FinishPark for the syscall result — timer-class ops carry
+// it in the op, fd-class ops re-dispatch the recorded syscall, now
+// prompt — and materializes it into the suspended guest frame via
+// WaliRuntime::ResumeMain. A park is plain data end to end.
 //
 // This header is intentionally tiny and dependency-free: it is the whole
 // contract between the WALI syscall layer and the host completion loop.
@@ -17,39 +20,39 @@
 #define SRC_WALI_ASYNC_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace wali {
 
 // One offloadable blocking operation, as a readiness class. The completion
 // loop only ever needs "this fd is readable/writable" or "this much time
-// elapsed" — the syscall itself is re-issued by the retry closure once the
-// op is ready, so completion loops never touch guest state.
+// elapsed" — the syscall itself is re-dispatched from its recorded number
+// and args once the op is ready, so completion loops never touch guest
+// state.
 struct IoOp {
   enum class Kind : uint8_t {
     kNone = 0,
-    kSleep,     // elapse `sleep_nanos` on the backend's clock
-    kReadable,  // wait until `fd` is readable (or error/hup: retry decides)
+    kSleep,     // elapse `sleep_nanos`, then complete with `scripted_result`
+    kReadable,  // wait until `fd` is readable (or error/hup: the
+                // re-dispatched syscall decides)
     kWritable,  // wait until `fd` is writable
     // The syscall already completed and `scripted_result` is its answer;
-    // the completion loop resumes with it immediately. Pure data (no retry
-    // closure), so scripted parks survive snapshot/restore — the park hook
+    // the completion loop resumes with it immediately. The park hook
     // WaliProcess::park_after_syscalls files these for deterministic
     // park-anywhere testing (tests/wasm_snapshot_test.cc).
     kScripted,
     // Wait until ANY entry of `poll_fds` has readiness matching its events
     // mask (poll(2) semantics: error/hup/nval always count, negative fds
     // are skipped). This is the multi-fd AND dual-interest (POLLIN|POLLOUT)
-    // op class: the retry re-polls with timeout 0 to materialize revents.
-    // Ordered after kScripted so serialized kind values never shift; a
-    // kPollSet park always carries a retry closure, so it is never
-    // snapshot-eligible and poll_fds needs no serialized form.
+    // op class: the re-dispatched poll runs with timeout 0 to materialize
+    // revents. Ordered after kScripted so serialized kind values never
+    // shift; fd-class parks are never snapshot-eligible, so poll_fds needs
+    // no serialized form.
     kPollSet,
   };
 
   // One member of a kPollSet: the fd and its requested events mask, exactly
-  // as in struct pollfd (revents are materialized by the retry, never here).
+  // as in struct pollfd (revents are materialized at resume, never here).
   struct PollFd {
     int fd = -1;
     short events = 0;
@@ -60,15 +63,27 @@ struct IoOp {
   int64_t sleep_nanos = 0;  // kSleep: relative duration
   // kReadable/kWritable: the op's own timeout (poll(2) semantics), relative;
   // < 0 means wait forever. On expiry the op completes kTimedOut and the
-  // retry (e.g. poll with timeout 0) yields the syscall's timeout answer.
+  // re-dispatched syscall (e.g. poll with timeout 0) yields the timeout
+  // answer.
   int64_t timeout_nanos = -1;
-  int64_t scripted_result = 0;  // kScripted: the syscall's known result
+  // Timer-class ops: the syscall's result once the op completes (0 for a
+  // sleep, -ETIMEDOUT for the threadless futex timer, anything for kScripted).
+  int64_t scripted_result = 0;
   std::vector<PollFd> poll_fds;  // kPollSet: the interest set
 
-  static IoOp Sleep(int64_t nanos) {
+  // Fd-class ops resume by re-dispatching the parked syscall against the
+  // live fd table, so they are not pure data to a snapshot. Timer-class ops
+  // (kSleep, kScripted) complete with `scripted_result`.
+  bool fd_class() const {
+    return kind == Kind::kReadable || kind == Kind::kWritable ||
+           kind == Kind::kPollSet;
+  }
+
+  static IoOp Sleep(int64_t nanos, int64_t result = 0) {
     IoOp op;
     op.kind = Kind::kSleep;
     op.sleep_nanos = nanos;
+    op.scripted_result = result;
     return op;
   }
   static IoOp Readable(int fd, int64_t timeout_nanos = -1) {
@@ -101,26 +116,21 @@ struct IoOp {
 };
 
 // The park request one syscall files instead of blocking. Owned by the
-// WaliProcess; armed by a handler (via WaliCtx::Park), consumed by the host
+// WaliProcess; armed by a handler (via WaliCtx::Park), completed by the
+// dispatch wrapper with the syscall's identity, consumed by the host
 // supervisor when the interpreter unwinds with kSyscallPending. At most one
 // is armed per process at a time — the main invocation is suspended the
 // moment it is filed.
 struct PendingIo {
   bool armed = false;
   IoOp op;
-  const char* syscall = nullptr;  // registry name, for reports/telemetry
-  // Performs the (now ready) syscall at resume, on a worker thread with the
-  // process intact; returns the kernel convention (-errno on failure).
-  // Null: the completion itself determines the result (sleeps complete with
-  // 0; fakes may script any value).
-  std::function<int64_t()> retry;
+  // The parked syscall as the thin interface sees it: registry id and its
+  // six argument words. Fd-class ops resume by re-dispatching exactly this
+  // (WaliRuntime::FinishPark); timer-class ops never look at it.
+  int syscall_id = -1;
+  int64_t args[6] = {};
 
-  void Reset() {
-    armed = false;
-    op = IoOp();
-    syscall = nullptr;
-    retry = nullptr;
-  }
+  void Reset() { *this = PendingIo(); }
 };
 
 }  // namespace wali

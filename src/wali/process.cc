@@ -71,12 +71,7 @@ void WaliProcess::ClearOffloadCache() {
 }
 
 void WaliProcess::CloseGuestFds() {
-  std::set<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(fds_mu_);
-    fds.swap(guest_fds_);
-  }
-  for (int fd : fds) {
+  for (int fd : TakeGuestFds()) {
     ::close(fd);
   }
 }
@@ -89,6 +84,15 @@ int WaliProcess::tracked_fd_count() {
 std::vector<int> WaliProcess::GuestFds() {
   std::lock_guard<std::mutex> lock(fds_mu_);
   return std::vector<int>(guest_fds_.begin(), guest_fds_.end());
+}
+
+std::vector<int> WaliProcess::TakeGuestFds() {
+  std::set<int> fds;
+  {
+    std::lock_guard<std::mutex> lock(fds_mu_);
+    fds.swap(guest_fds_);
+  }
+  return std::vector<int>(fds.begin(), fds.end());
 }
 
 void WaliProcess::AdoptGuestFds(const std::vector<int>& fds) {

@@ -62,6 +62,10 @@ class WaliProcess {
   // Sorted copy of the tracked fd set (snapshot/restore: the fd table is
   // part of the serialized process state; see src/wali/process_snapshot.cc).
   std::vector<int> GuestFds();
+  // Hands the tracked set to the caller and stops tracking it, so the fds
+  // outlive this process (eviction: the slot is recycled while the fds stay
+  // open for the restored run).
+  std::vector<int> TakeGuestFds();
   // Bulk re-track on restore: adopts `fds` as the tracked set (union with
   // anything already tracked, same > 2 rule as TrackFd).
   void AdoptGuestFds(const std::vector<int>& fds);

@@ -98,7 +98,7 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
 }
 
 common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& proc,
-                              WaliRuntime::MainContinuation& cont, IoOp* pending_op) {
+                              WaliRuntime::MainContinuation& cont) {
   wasm::SnapshotReader r(blob.data(), blob.size());
   uint64_t start_instrs = 0;
   uint8_t entry_is_main = 0;
@@ -117,7 +117,14 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   RETURN_IF_ERROR(r.U64(&sleep_nanos));
   RETURN_IF_ERROR(r.U64(&timeout_nanos));
   RETURN_IF_ERROR(r.U64(&scripted_result));
-  if (kind > static_cast<uint8_t>(IoOp::Kind::kScripted)) {
+  IoOp op;
+  op.kind = static_cast<IoOp::Kind>(kind);
+  op.fd = static_cast<int>(fd);
+  op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
+  op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
+  op.scripted_result = static_cast<int64_t>(scripted_result);
+  // SnapshotProcess only ever writes timer-class parks.
+  if (kind > static_cast<uint8_t>(IoOp::Kind::kScripted) || op.fd_class()) {
     return common::InvalidArgument("snapshot: bad pending io kind");
   }
 
@@ -218,17 +225,13 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   cont.start_instrs = start_instrs;
   cont.entry_is_main = entry_is_main != 0;
 
-  if (pending_op != nullptr) {
-    IoOp op;
-    op.kind = static_cast<IoOp::Kind>(kind);
-    op.fd = static_cast<int>(fd);
-    op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
-    op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
-    op.scripted_result = static_cast<int64_t>(scripted_result);
-    *pending_op = armed != 0 ? op : IoOp();
+  // Re-arm the park request: the restored run is parked on the same op,
+  // and the caller completes it (WaliRuntime::FinishPark) before resuming.
+  proc.pending_io.Reset();
+  if (armed != 0) {
+    proc.pending_io.armed = true;
+    proc.pending_io.op = op;
   }
-  // The park request itself is NOT re-armed: the caller owns completing the
-  // op (ResumeMain resets pending_io on entry regardless).
 
   proc.AdoptGuestFds(fds);
   for (const SigRec& s : sigs) {
@@ -276,9 +279,9 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
   if (proc.sigtable.AnyPending()) {
     return common::FailedPrecondition("snapshot: undelivered virtual signals pending");
   }
-  if (proc.pending_io.retry != nullptr) {
+  if (proc.pending_io.op.fd_class()) {
     return common::Unimplemented(
-        "snapshot: pending op carries a live retry closure (not pure data)");
+        "snapshot: fd-class park resumes against live fds (not pure data)");
   }
   std::vector<uint8_t> blob = EncodeHostBlob(proc, cont);
   return wasm::SnapshotSuspension(cont.susp, proc.main_instance.get(),
@@ -286,7 +289,7 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
 }
 
 common::Status RestoreProcess(const uint8_t* data, size_t size, WaliProcess& proc,
-                              WaliRuntime::MainContinuation& cont, IoOp* pending_op) {
+                              WaliRuntime::MainContinuation& cont) {
   if (proc.main_instance == nullptr || proc.module == nullptr) {
     return common::FailedPrecondition("snapshot: process has no instance");
   }
@@ -297,7 +300,7 @@ common::Status RestoreProcess(const uint8_t* data, size_t size, WaliProcess& pro
   if (!blob.ok()) {
     return blob.status();
   }
-  common::Status st = DecodeHostBlob(*blob, proc, cont, pending_op);
+  common::Status st = DecodeHostBlob(*blob, proc, cont);
   if (!st.ok()) {
     cont.Discard();  // never leave a half-restored continuation armed
     return st;

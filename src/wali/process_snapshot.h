@@ -5,10 +5,11 @@
 // the MainContinuation bookkeeping (deferred-start fuel, entry kind).
 //
 // Eligibility (refused with a Status, never a crash): single-threaded, not
-// inside a signal handler, and the park's retry closure must be null — only
-// ops whose completion value IS the syscall result (sleeps, scripted fakes)
-// are pure data. Reads/writes capture a live retry closure over the process
-// and are not serializable; the supervisor simply declines to evict those.
+// inside a signal handler, and parked on a timer-class op (kSleep,
+// kScripted), whose result travels in the op. Fd-class parks (reads,
+// writes, accept, connect, poll) resume by re-dispatching their syscall
+// against the process's live fds, which the v1 format does not carry, so
+// they are refused; the supervisor simply declines to evict those.
 #ifndef SRC_WALI_PROCESS_SNAPSHOT_H_
 #define SRC_WALI_PROCESS_SNAPSHOT_H_
 
@@ -33,12 +34,11 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
 // rebuilds the interpreter suspension, globals, memory, fd table, signal
 // dispositions, trace counters, and budgets captured at snapshot time, and
 // arms `cont` so WaliRuntime::ResumeMain continues the run bit-identically.
-// `pending_op` (optional) receives the IoOp the run was parked on, for
-// callers that must complete or re-arm it (walirun --restore sleeps it off).
+// The park request is re-armed in proc.pending_io: callers wait on its op,
+// then pass WaliRuntime::FinishPark's result to ResumeMain.
 common::Status RestoreProcess(const uint8_t* data, size_t size,
                               WaliProcess& proc,
-                              WaliRuntime::MainContinuation& cont,
-                              IoOp* pending_op = nullptr);
+                              WaliRuntime::MainContinuation& cont);
 
 }  // namespace wali
 

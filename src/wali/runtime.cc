@@ -8,6 +8,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -135,18 +136,6 @@ bool OffloadableFd(int fd) {
   // blocking path this offload must match bit-for-bit.
   int fl = ::fcntl(fd, F_GETFL);
   return fl >= 0 && (fl & O_NONBLOCK) == 0;
-}
-
-int64_t RetryRaw(WaliProcess& proc, long number, long a0, long a1, long a2,
-                 long a3, long a4, long a5) {
-  const bool timed = proc.runtime->options().attribute_time;
-  int64_t t0 = timed ? common::MonotonicNanos() : 0;
-  long r = ::syscall(number, a0, a1, a2, a3, a4, a5);
-  int64_t ret = r >= 0 ? static_cast<int64_t>(r) : -static_cast<int64_t>(errno);
-  if (timed) {
-    proc.trace.AddKernelNanos(common::MonotonicNanos() - t0);
-  }
-  return ret;
 }
 
 int64_t WaliCtx::Raw(long number, long a0, long a1, long a2, long a3, long a4,
@@ -357,7 +346,7 @@ int WaliRuntime::SyscallId(const std::string& name) const {
 }
 
 void WaliRuntime::ApplyFdEffect(WaliProcess& proc, size_t id,
-                                const uint64_t* args, int64_t ret) const {
+                                const int64_t* args, int64_t ret) const {
   if (fd_effects_[id] == FdEffect::kClosesFd) {
     // Linux frees the fd even when close(2) fails (EINTR/EIO); keeping it
     // tracked would double-close a number the kernel has since reused.
@@ -397,6 +386,16 @@ void WaliRuntime::ApplyFdEffect(WaliProcess& proc, size_t id,
       }
       break;
   }
+}
+
+int64_t WaliRuntime::TimedCall(WaliCtx& c, size_t id, const int64_t* args) const {
+  const bool timed = options_.attribute_time;
+  int64_t t0 = timed ? common::MonotonicNanos() : 0;
+  int64_t ret = defs_[id].fn(c, args);
+  if (timed) {
+    c.proc.trace.AddWaliNanos(common::MonotonicNanos() - t0);
+  }
+  return ret;
 }
 
 void WaliRuntime::RegisterAll() {
@@ -467,19 +466,19 @@ void WaliRuntime::RegisterAll() {
               return ctx.trap;
             }
           }
+          const int64_t* a = reinterpret_cast<const int64_t*>(args);
           WaliCtx c{ctx, *proc, *proc->memory, *this};
-          const bool timed = options_.attribute_time;
-          int64_t t0 = timed ? common::MonotonicNanos() : 0;
-          int64_t ret = def.fn(c, reinterpret_cast<const int64_t*>(args));
-          if (timed) {
-            proc->trace.AddWaliNanos(common::MonotonicNanos() - t0);
-          }
-          if (proc->pending_io.armed) {
+          int64_t ret = TimedCall(c, id, a);
+          PendingIo& pio = proc->pending_io;
+          if (ctx.opts.suspend_to != nullptr && pio.armed) {
             // Park at the WALI boundary: the handler filed a PendingIo
-            // instead of blocking. The dispatch is counted NOW (suspended
-            // runs must match blocking runs bit-for-bit in syscall counts);
-            // the result — and any fd effect — is materialized at resume.
-            proc->pending_io.syscall = def.name;
+            // instead of blocking (only a resumable invocation can). Record
+            // the syscall itself — FinishPark re-dispatches it once the op
+            // completes. The dispatch is counted NOW (suspended runs must
+            // match blocking runs bit-for-bit in syscall counts); the
+            // result — and any fd effect — is materialized at resume.
+            pio.syscall_id = static_cast<int>(id);
+            std::copy(a, a + def.nargs, pio.args);
             proc->trace.Count(static_cast<uint32_t>(id));
             ctx.SetTrap(wasm::TrapKind::kSyscallPending,
                         "syscall parked for async completion");
@@ -494,16 +493,16 @@ void WaliRuntime::RegisterAll() {
             // trace count — is applied NOW; resuming with scripted_result
             // is bit-identical to never having parked.
             proc->syscalls_since_park = 0;
-            ApplyFdEffect(*proc, id, args, ret);
+            ApplyFdEffect(*proc, id, a, ret);
             proc->trace.Count(static_cast<uint32_t>(id));
-            proc->pending_io.armed = true;
-            proc->pending_io.op = IoOp::Scripted(ret);
-            proc->pending_io.syscall = def.name;
+            pio.armed = true;
+            pio.op = IoOp::Scripted(ret);
+            pio.syscall_id = static_cast<int>(id);
             ctx.SetTrap(wasm::TrapKind::kSyscallPending,
                         "syscall parked (scripted completion)");
             return ctx.trap;
           }
-          ApplyFdEffect(*proc, id, args, ret);
+          ApplyFdEffect(*proc, id, a, ret);
           proc->trace.Count(static_cast<uint32_t>(id));
           if (common::LogEnabled(common::LogLevel::kDebug)) {
             LOG_DEBUG() << "SYS_" << def.name << " -> " << ret;
@@ -772,6 +771,22 @@ wasm::RunResult WaliRuntime::ResumeMain(WaliProcess& process,
     r.values.clear();
   }
   return r;
+}
+
+int64_t WaliRuntime::FinishPark(WaliProcess& process, MainContinuation& cont) {
+  const PendingIo& pio = process.pending_io;
+  if (!pio.op.fd_class()) {
+    return pio.op.scripted_result;
+  }
+  const size_t id = static_cast<size_t>(pio.syscall_id);
+  // pio stays armed across the call, so CanOffload() is false and the
+  // handler takes its blocking path; `resuming` tells the two handlers
+  // whose blocking path would re-wait (connect, poll/ppoll) to collect the
+  // answer instead.
+  WaliCtx c{*cont.susp.ctx, process, *process.memory, *this, /*resuming=*/true};
+  int64_t ret = TimedCall(c, id, pio.args);
+  ApplyFdEffect(process, id, pio.args, ret);
+  return ret;
 }
 
 void WaliProcess::AdoptInstance(wasm::Instance* instance) {

@@ -31,6 +31,11 @@ struct WaliCtx {
   WaliProcess& proc;
   wasm::Memory& mem;
   WaliRuntime& rt;
+  // True when this call re-dispatches a parked syscall whose op completed
+  // (WaliRuntime::FinishPark). Only handlers whose blocking path would not
+  // already give the right answer look at it: connect reads SO_ERROR, and
+  // poll/ppoll re-poll with timeout 0.
+  bool resuming = false;
 
   // Bounds-checked wasm->host pointer translation; nullptr on fault
   // (handlers then return -EFAULT, mirroring the kernel).
@@ -55,19 +60,17 @@ struct WaliCtx {
   // True when this invocation may park at the syscall boundary instead of
   // blocking: the host entered it resumably (ExecOptions::suspend_to) and
   // no park request is already armed. Guest threads and signal-handler
-  // re-entries always see false and take the blocking path.
+  // re-entries always see false and take the blocking path, and so does a
+  // resumed call (its park is still armed while it re-dispatches).
   bool CanOffload() const {
     return exec.opts.suspend_to != nullptr && !proc.pending_io.armed;
   }
   // Files a park request (see src/wali/async.h): the dispatch wrapper turns
   // it into kSyscallPending and the handler's return value is ignored. Only
   // call when CanOffload().
-  void Park(IoOp op, std::function<int64_t()> retry,
-            const char* syscall_name = nullptr) const {
+  void Park(IoOp op) const {
     proc.pending_io.armed = true;
-    proc.pending_io.op = op;
-    proc.pending_io.syscall = syscall_name;
-    proc.pending_io.retry = std::move(retry);
+    proc.pending_io.op = std::move(op);
   }
 };
 
@@ -155,6 +158,15 @@ class WaliRuntime {
   // semantics bit-identical to an uninterrupted RunMain.
   wasm::RunResult ResumeMain(WaliProcess& process, MainContinuation& cont,
                              int64_t syscall_result);
+  // Turns a parked run's completed op into the syscall's result, to pass to
+  // ResumeMain. Timer-class ops (kSleep, kScripted) carry it in
+  // IoOp::scripted_result. Fd-class ops re-run the recorded syscall on the
+  // suspended context, where CanOffload() is false, so the handler takes
+  // its ordinary blocking path — prompt now that the op is ready. The
+  // re-dispatch is timed and fd-tracked like any dispatch but not counted
+  // again, and the budget and policy checks are not repeated: all of that
+  // happened at park time. Call only once the op completed.
+  int64_t FinishPark(WaliProcess& process, MainContinuation& cont);
 
   const std::vector<SyscallDef>& syscalls() const { return defs_; }
   int SyscallId(const std::string& name) const;
@@ -178,8 +190,10 @@ class WaliRuntime {
 
   void RegisterAll();
   void RegisterSupportMethods();
-  void ApplyFdEffect(WaliProcess& proc, size_t id, const uint64_t* args,
+  void ApplyFdEffect(WaliProcess& proc, size_t id, const int64_t* args,
                      int64_t ret) const;
+  // Runs handler `id` inside a WALI timing span (Fig. 7 attribution).
+  int64_t TimedCall(WaliCtx& c, size_t id, const int64_t* args) const;
 
   wasm::Linker* linker_;
   Options options_;
@@ -200,12 +214,6 @@ class WaliRuntime {
 // invalidated on close/dup2/dup3/fcntl(F_SETFL)/ioctl(FIONBIO) and slot
 // recycling.
 bool OffloadableFd(int fd);
-
-// Raw syscall with kernel-time attribution for resume-time retry closures,
-// which run on a worker thread after the original ExecContext (and thus
-// WaliCtx::Raw) is gone. Returns the kernel convention (-errno on failure).
-int64_t RetryRaw(WaliProcess& proc, long number, long a0 = 0, long a1 = 0,
-                 long a2 = 0, long a3 = 0, long a4 = 0, long a5 = 0);
 
 // Validates a guest timespec and flattens it to nanoseconds (kernel
 // nanosleep rules: negative seconds or out-of-range nanos are EINVAL,

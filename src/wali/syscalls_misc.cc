@@ -32,7 +32,7 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
   // process that has no other threads has no possible waker, so the wait
   // can only end when the timeout elapses — a pure timer park. The value
   // check happens inline (no concurrent writer exists to race with):
-  // mismatch answers -EAGAIN without parking, and the retry reports
+  // mismatch answers -EAGAIN without parking, and the timer completes with
   // -ETIMEDOUT exactly as the kernel would. Untimed or multi-threaded
   // waits keep the blocking path, where a real waker can reach them.
   // The gate tolerates only FUTEX_PRIVATE_FLAG: FUTEX_CLOCK_REALTIME (or
@@ -52,7 +52,7 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
     uint32_t cur;
     std::memcpy(&cur, uaddr, 4);
     if (cur != static_cast<uint32_t>(a[2])) return -EAGAIN;
-    c.Park(IoOp::Sleep(dur), []() -> int64_t { return -ETIMEDOUT; });
+    c.Park(IoOp::Sleep(dur, -ETIMEDOUT));
     return 0;
   }
   // FUTEX_WAIT-class ops pass a timespec; WAKE-class pass a count in arg4.
@@ -74,30 +74,16 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
                uaddr2, a[5]);
 }
 
-// Re-issues a parked poll with timeout 0 at resume: readiness completions
-// fill in revents, timeout completions correctly report 0 ready fds.
-int64_t PollRetryNow(WaliProcess& proc, uint64_t fds_addr, uint64_t nfds) {
-  if (!proc.memory->InBounds(fds_addr, nfds * 8)) return -EFAULT;
-  void* fds = proc.memory->At(fds_addr);
-#ifdef SYS_poll
-  return RetryRaw(proc, SYS_poll, reinterpret_cast<long>(fds),
-                  static_cast<long>(nfds), 0);
-#else
-  struct timespec zero = {0, 0};
-  return RetryRaw(proc, SYS_ppoll, reinterpret_cast<long>(fds),
-                  static_cast<long>(nfds), reinterpret_cast<long>(&zero), 0, 8);
-#endif
-}
-
 // Parks a poll/ppoll on its full interest set: one kPollSet member per
 // guest pollfd entry, events passed through verbatim (the union of
 // requested interests — a POLLIN|POLLOUT waiter wakes on either class, and
 // error/hup/nval always count). Negative fds ride along as placeholders
 // and are skipped by every backend, so an all-negative set parks as a pure
-// timer, matching poll(2). The retry re-polls with timeout 0 to
-// materialize revents into guest memory.
-void ParkPollSet(WaliCtx& c, const void* fds, uint64_t fds_addr,
-                 uint64_t nfds, int64_t timeout_nanos) {
+// timer, matching poll(2). At resume the handler is re-dispatched with
+// `resuming` set and re-polls with timeout 0: a readiness completion fills
+// in revents, a timeout completion correctly reports 0 ready fds.
+void ParkPollSet(WaliCtx& c, const void* fds, uint64_t nfds,
+                 int64_t timeout_nanos) {
   std::vector<IoOp::PollFd> set;
   set.reserve(nfds);
   for (uint64_t i = 0; i < nfds; ++i) {
@@ -105,11 +91,7 @@ void ParkPollSet(WaliCtx& c, const void* fds, uint64_t fds_addr,
     std::memcpy(&pfd, static_cast<const char*>(fds) + i * 8, sizeof(pfd));
     set.push_back(IoOp::PollFd{pfd.fd, pfd.events});
   }
-  WaliProcess* proc = &c.proc;
-  c.Park(IoOp::PollSet(std::move(set), timeout_nanos),
-         [proc, fds_addr, nfds]() -> int64_t {
-           return PollRetryNow(*proc, fds_addr, nfds);
-         });
+  c.Park(IoOp::PollSet(std::move(set), timeout_nanos));
 }
 
 int64_t SysPoll(WaliCtx& c, const int64_t* a) {
@@ -127,17 +109,18 @@ int64_t SysPoll(WaliCtx& c, const int64_t* a) {
     // as infinite rather than wrap negative and park with no timeout).
     int64_t timeout_nanos =
         (a[2] < 0 || a[2] > INT_MAX) ? -1 : a[2] * 1000000;
-    ParkPollSet(c, fds, static_cast<uint64_t>(a[0]), nfds, timeout_nanos);
+    ParkPollSet(c, fds, nfds, timeout_nanos);
     return 0;
   }
+  const int64_t timeout_ms = c.resuming ? 0 : a[2];
 #ifdef SYS_poll
-  return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, a[2]);
+  return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, timeout_ms);
 #else
   struct timespec ts;
   struct timespec* tsp = nullptr;
-  if (a[2] >= 0) {
-    ts.tv_sec = a[2] / 1000;
-    ts.tv_nsec = (a[2] % 1000) * 1000000;
+  if (timeout_ms >= 0) {
+    ts.tv_sec = timeout_ms / 1000;
+    ts.tv_nsec = (timeout_ms % 1000) * 1000000;
     tsp = &ts;
   }
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds,
@@ -164,7 +147,7 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
   // parks through the same path as SysPoll. A non-null sigmask needs the
   // atomic mask-swap ppoll exists for, which a parked completion loop
   // cannot honor — refuse to park and let the kernel do it. ppoll never
-  // writes the remaining time back, so the timeout-0 poll retry is
+  // writes the remaining time back, so re-polling with a zero timespec is
   // semantically equivalent at resume. A null timespec blocks forever
   // (timeout -1); a zero one is non-blocking and answers inline.
   if (c.CanOffload() && a[3] == 0 && nfds >= 1 && nfds <= kMaxOffloadPollFds) {
@@ -175,9 +158,13 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
       if (!SleepDurationNanos(ts, &timeout_nanos)) return -EINVAL;
     }
     if (timeout_nanos != 0) {
-      ParkPollSet(c, fds, static_cast<uint64_t>(a[0]), nfds, timeout_nanos);
+      ParkPollSet(c, fds, nfds, timeout_nanos);
       return 0;
     }
+  }
+  struct timespec zero = {0, 0};
+  if (c.resuming) {
+    ts_ptr = reinterpret_cast<long>(&zero);
   }
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds, ts_ptr, mask_ptr, 8);
 }

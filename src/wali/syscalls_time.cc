@@ -63,14 +63,14 @@ int64_t SysNanosleep(WaliCtx& c, const int64_t* a) {
   }
   if (c.CanOffload()) {
     // Offload: elapse the duration on the host's completion loop instead of
-    // parking a worker thread in the kernel. The completion value (0) is
-    // the syscall result — an offloaded sleep is never EINTR'd, so `rem`
+    // parking a worker thread in the kernel. The op's result (0) is the
+    // syscall result — an offloaded sleep is never EINTR'd, so `rem`
     // is left untouched, exactly like an uninterrupted kernel sleep.
     wabi::WaliTimespec ts;
     std::memcpy(&ts, req, sizeof(ts));
     int64_t dur = 0;
     if (!SleepDurationNanos(ts, &dur)) return -EINVAL;
-    c.Park(IoOp::Sleep(dur), nullptr);
+    c.Park(IoOp::Sleep(dur));
     return 0;
   }
   return c.Raw(SYS_nanosleep, reinterpret_cast<long>(req), rem_ptr);
@@ -93,7 +93,7 @@ int64_t SysClockNanosleep(WaliCtx& c, const int64_t* a) {
     std::memcpy(&ts, req, sizeof(ts));
     int64_t dur = 0;
     if (!SleepDurationNanos(ts, &dur)) return -EINVAL;
-    c.Park(IoOp::Sleep(dur), nullptr);
+    c.Park(IoOp::Sleep(dur));
     return 0;
   }
   return c.Raw(SYS_clock_nanosleep, a[0], a[1], reinterpret_cast<long>(req), rem_ptr);

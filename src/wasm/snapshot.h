@@ -31,9 +31,10 @@
 // format drift without a bump fails CI.
 //
 // Deliberately NOT captured: host fds' kernel state (only the wali layer's
-// fd table rides in the host blob), live retry closures (only parks whose
-// pending op is pure data — sleeps — are evictable), guest threads, signal
-// handlers mid-flight, and in-flight profile attribution windows.
+// fd table rides in the host blob), so fd-class parks — which resume by
+// re-dispatching their syscall against live fds — are not evictable (only
+// timer-class parks are); also guest threads, signal handlers mid-flight,
+// and in-flight profile attribution windows.
 #ifndef SRC_WASM_SNAPSHOT_H_
 #define SRC_WASM_SNAPSHOT_H_
 

@@ -9,6 +9,7 @@
 // differential uses a 2ms real sleep).
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/stat.h>
@@ -109,7 +110,7 @@ const char* kNonBlockGuest = R"(
 
 // ppoll on an empty pipe with a 50ms timespec: musl's poll(3) shape. Must
 // park (kPollSet) instead of pinning a worker in the kernel; the timeout
-// completion's retry re-polls with timeout 0 and reports 0 ready fds.
+// completion's re-dispatch polls with timeout 0 and reports 0 ready fds.
 const char* kPpollSleeperGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -130,8 +131,8 @@ const char* kPpollSleeperGuest = R"(
 )";
 
 // poll with events = POLLIN|POLLOUT on a fresh socketpair end, 1s timeout.
-// The park must carry BOTH interests; the socket is writable, so the retry
-// materializes revents = POLLOUT and the guest exits with it (4).
+// The park must carry BOTH interests; the socket is writable, so the resumed
+// poll materializes revents = POLLOUT and the guest exits with it (4).
 const char* kDualInterestPollGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -152,7 +153,7 @@ const char* kDualInterestPollGuest = R"(
 
 // Plain FUTEX_WAIT with a 50ms timeout in a threadless process: value
 // mismatch answers -EAGAIN inline; a matching value parks as a pure timer
-// and the retry reports -ETIMEDOUT, exactly as the kernel would.
+// whose result is -ETIMEDOUT, exactly as the kernel would answer.
 const char* kFutexWaitGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -206,7 +207,7 @@ const char* kVectoredPipeGuest = R"(
 // TCP loopback connect: bind+listen on 127.0.0.1:0, learn the port via
 // getsockname, then connect a second socket to it. Nonblocking TCP connect
 // always answers -EINPROGRESS, so the connect parks (Writable) and the
-// retry reads the outcome from SO_ERROR.
+// resumed call reads the outcome from SO_ERROR.
 const char* kConnectGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -237,6 +238,50 @@ const char* kConnectGuest = R"(
     (if (i64.ne (local.get $r) (i64.const 0))
       (then (return (i32.const 245))))
     (i32.const 52))
+)";
+
+// 64 round trips of 64 bytes through a blocking pipe: every write parks
+// (Writable) and every read parks (Readable), 128 parks in all. Exits 0.
+const char* kPipePingPongGuest = R"(
+  (memory 2)
+  (func (export "main") (result i32)
+    (local $rfd i64) (local $wfd i64) (local $i i32)
+    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
+    (local.set $rfd (i64.load32_s (i32.const 256)))
+    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (block $done
+      (loop $next
+        (br_if $done (i32.ge_u (local.get $i) (i32.const 64)))
+        (if (i64.ne (call $write (local.get $wfd) (i64.const 1024) (i64.const 64))
+                    (i64.const 64))
+          (then (return (i32.const 1))))
+        (if (i64.ne (call $read (local.get $rfd) (i64.const 2048) (i64.const 64))
+                    (i64.const 64))
+          (then (return (i32.const 2))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $next)))
+    (i32.const 0))
+)";
+
+// O_NONBLOCK pipe (its I/O never parks): write one byte, sleep 50ms (parks
+// as a timer, so it can be evicted), then read the byte back. Exits with
+// the byte (77), or with the read's errno when the fd did not survive.
+const char* kPipeAcrossSleepGuest = R"(
+  (memory 2)
+  (func (export "main") (result i32)
+    (local $rfd i64) (local $wfd i64) (local $r i64)
+    (drop (call $pipe2 (i64.const 256) (i64.const 2048)))
+    (local.set $rfd (i64.load32_s (i32.const 256)))
+    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (i32.store8 (i32.const 1024) (i32.const 77))
+    (drop (call $write (local.get $wfd) (i64.const 1024) (i64.const 1)))
+    (i64.store (i32.const 512) (i64.const 0))
+    (i64.store (i32.const 520) (i64.const 50000000))
+    (drop (call $nanosleep (i64.const 512) (i64.const 0)))
+    (local.set $r (call $read (local.get $rfd) (i64.const 2048) (i64.const 1)))
+    (if (i64.ne (local.get $r) (i64.const 1))
+      (then (return (i32.wrap_i64 (i64.sub (i64.const 0) (local.get $r))))))
+    (i32.load8_u (i32.const 2048)))
 )";
 
 // Pure compute, no syscalls: used to burn tenant fuel deterministically.
@@ -439,13 +484,13 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: retry writes
+  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: re-dispatched write
 
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: retry reads
+  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: re-dispatched read
 
   host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed()) << r.trap_message;
@@ -454,8 +499,8 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
 }
 
 TEST(HostIo, ScriptedResultOverridesRetry) {
-  // A completion carrying a value IS the syscall result — the retry is
-  // skipped. This is how tests inject exact kernel answers (here: EBADF
+  // A completion carrying a value IS the syscall result — the re-dispatch
+  // is skipped. This is how tests inject exact kernel answers (here: EBADF
   // for an fd that "closed while the op was in flight").
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
@@ -496,7 +541,7 @@ TEST(HostIo, PpollSleeperParksInsteadOfPinningWorker) {
   EXPECT_EQ(op.poll_fds[0].events, POLLIN);
   EXPECT_EQ(op.timeout_nanos, 50 * kMs);
 
-  w.fake->AdvanceBy(50 * kMs);  // kTimedOut: retry re-polls with timeout 0
+  w.fake->AdvanceBy(50 * kMs);  // kTimedOut: resumed ppoll uses timeout 0
   host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed()) << r.trap_message;
   EXPECT_EQ(r.exit_code, 21);
@@ -508,7 +553,7 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
   // POLLOUT", so events = POLLIN|POLLOUT either refused to park or parked
   // on readability alone and slept to the full timeout on a
   // writable-but-silent socket. The park must carry BOTH interests and the
-  // retry must surface the kernel's revents (POLLOUT here).
+  // resumed poll must surface the kernel's revents (POLLOUT here).
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kDualInterestPollGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
@@ -535,7 +580,7 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
 TEST(HostIo, FutexWaitParksAsTimer) {
   // A threadless FUTEX_WAIT with a timeout has no possible waker, so it is
   // a pure timer: value mismatch answers -EAGAIN inline (no park), a match
-  // parks as kSleep and the retry reports -ETIMEDOUT.
+  // parks as kSleep whose result is -ETIMEDOUT.
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kFutexWaitGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
@@ -556,8 +601,8 @@ TEST(HostIo, FutexWaitParksAsTimer) {
 }
 
 TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
-  // readv/writev ride the same readiness classes as read/write; the retry
-  // re-translates the guest iovec array against live memory at resume time.
+  // readv/writev ride the same readiness classes as read/write; the resumed
+  // call re-translates the guest iovec array against live memory at resume time.
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kVectoredPipeGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
@@ -598,13 +643,37 @@ TEST(HostIo, ConnectParksUntilEstablished) {
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
   // Loopback handshakes complete in the kernel without our help; SO_ERROR
-  // is 0 by the time the retry runs.
+  // is 0 by the time the resumed connect reads it.
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));
 
   host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed()) << r.trap_message;
   EXPECT_EQ(r.exit_code, 52);
   EXPECT_EQ(r.parks, 1u);
+}
+
+TEST(HostIo, ResumedSyscallTimeStaysInsideWaliSpan) {
+  // Regression: resumed syscalls used to charge their kernel time outside
+  // any WALI span, so a park-heavy guest reported negative WALI time
+  // (which excludes nested kernel time). The re-dispatch now runs inside
+  // a span like any dispatch. Real reactor: the pipe is always ready.
+  host::IoReactor reactor;
+  wasm::Linker linker;
+  wali::WaliRuntime runtime(&linker);
+  host::ModuleCache cache;
+  host::Supervisor::Options opts;
+  opts.workers = 1;
+  opts.io_backend = &reactor;
+  host::Supervisor sup(&runtime, opts);
+  auto module = cache.Load(WrapModule(kPipePingPongGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+
+  host::RunReport r = sup.Submit(MakeJob(*module, "t")).get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(r.parks, 128u);
+  EXPECT_GT(r.kernel_nanos, 0);
+  EXPECT_GE(r.wali_nanos, 0);
 }
 
 TEST(HostIo, BlockedTimeIsNotQueueTime) {
@@ -1149,6 +1218,104 @@ TEST(HostIo, ShutdownWithEvictedRunResolvesFuture) {
   EXPECT_EQ(r.outcome, host::Outcome::kShed);
   EXPECT_GT(r.executed_instrs, 0u) << "park-time fuel settle must survive";
   EXPECT_EQ(w.sup->io_stats().evicted_now, 0u);
+}
+
+TEST(HostIo, EvictParkedFutexTimerRestoresWithTimeout) {
+  // The threadless futex timer parks as a pure timer whose result
+  // (-ETIMEDOUT) travels in the op, so it is evictable; the restored run
+  // must still see -ETIMEDOUT and exit 31.
+  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  auto module = w.cache->Load(WrapModule(kFutexWaitGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  common::Status ev = w.sup->EvictParked(cookies[0]);
+  ASSERT_TRUE(ev.ok()) << ev.ToString();
+
+  w.fake->AdvanceBy(50 * kMs);
+  host::RunReport r = fut.get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 31);
+  EXPECT_EQ(w.sup->io_stats().restores_total, 1u);
+}
+
+TEST(HostIo, EvictRefusesFdClassParkAndRunFinishes) {
+  // A read park resumes by re-dispatching against the guest's live fds,
+  // which a snapshot does not carry: eviction must refuse it, and the run
+  // must then finish normally.
+  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  auto module = w.cache->Load(WrapModule(kPipeGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  ASSERT_TRUE(w.fake->CompleteReady(w.fake->PendingCookies()[0]));  // write
+
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> pending = w.fake->PendingCookies();
+  wali::IoOp op;
+  ASSERT_TRUE(w.fake->LookupOp(pending[0], &op));
+  ASSERT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  common::Status ev = w.sup->EvictParked(cookies[0]);
+  EXPECT_EQ(ev.code(), common::StatusCode::kUnimplemented) << ev.ToString();
+  EXPECT_EQ(w.sup->io_stats().evicted_now, 0u);
+
+  ASSERT_TRUE(w.fake->CompleteReady(pending[0]));  // byte is there
+  host::RunReport r = fut.get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 77);
+  EXPECT_EQ(r.parks, 2u);
+}
+
+TEST(HostIo, EvictionKeepsGuestFdsOpen) {
+  // Regression: releasing an evicted run's lease closed its host fds, and
+  // the restore re-adopted the dead numbers (the read answered -EBADF, so
+  // the guest exited 9). The fds must survive the eviction.
+  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  auto module = w.cache->Load(WrapModule(kPipeAcrossSleepGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
+
+  w.fake->AdvanceBy(50 * kMs);
+  host::RunReport r = fut.get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 77);
+  EXPECT_EQ(w.sup->io_stats().restores_total, 1u);
+}
+
+size_t CountOpenFds() {
+  size_t n = 0;
+  DIR* d = ::opendir("/proc/self/fd");
+  if (d == nullptr) return 0;
+  while (::readdir(d) != nullptr) ++n;
+  ::closedir(d);
+  return n;
+}
+
+TEST(HostIo, ShutdownClosesEvictedRunFds) {
+  // An evicted run holds its guest's host fds outside any pool slot; when
+  // the run is dropped instead of restored, they must be closed.
+  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  auto module = w.cache->Load(WrapModule(kPipeAcrossSleepGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  const size_t before = CountOpenFds();
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
+  EXPECT_EQ(CountOpenFds(), before + 2) << "the pipe stays open while evicted";
+
+  w.sup->Shutdown();
+  EXPECT_EQ(fut.get().outcome, host::Outcome::kShed);
+  EXPECT_EQ(CountOpenFds(), before);
 }
 
 }  // namespace

@@ -56,6 +56,18 @@ TEST(IoReactor, SleepCompletesAfterDuration) {
   EXPECT_EQ(reactor.pending(), 0u);
 }
 
+TEST(IoReactor, ScriptedOpCompletesImmediately) {
+  // A scripted op already has its answer (in the op), so it must complete
+  // on the next loop turn instead of waiting forever on no fd.
+  host::IoReactor reactor;
+  Collector c;
+  reactor.SetCompletionHandler(c.fn());
+  reactor.Submit(3, wali::IoOp::Scripted(-5));
+  ASSERT_TRUE(c.WaitFor(1));
+  EXPECT_EQ(c.got[0].first, 3u);
+  EXPECT_EQ(reactor.pending(), 0u);
+}
+
 TEST(IoReactor, PipeBecomesReadable) {
   host::IoReactor reactor;
   Collector c;
@@ -114,8 +126,8 @@ TEST(IoReactor, CancelSuppressesCompletion) {
 
 TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   // Fd trouble while an op is in flight: closing the WRITE end makes the
-  // read end POLLHUP-ready; the completion is kReady and the retry (here:
-  // the caller) observes EOF from the kernel. The reactor must not hang.
+  // read end POLLHUP-ready; the completion is kReady and the re-dispatched
+  // read (here: the caller) observes EOF from the kernel. The reactor must not hang.
   host::IoReactor reactor;
   Collector c;
   reactor.SetCompletionHandler(c.fn());
@@ -127,7 +139,7 @@ TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   ASSERT_TRUE(c.WaitFor(1));
   EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kReady);
   char b;
-  EXPECT_EQ(::read(fds[0], &b, 1), 0) << "retry sees EOF";
+  EXPECT_EQ(::read(fds[0], &b, 1), 0) << "re-dispatched read sees EOF";
   ::close(fds[0]);
 }
 

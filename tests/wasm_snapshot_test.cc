@@ -812,20 +812,16 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
           ++parks;
           ASSERT_LT(parks, 100000) << label << ": runaway park loop";
           wali::WaliProcess& cur = *live.back();
-          // Work out the park's completion value first.
-          int64_t result = 0;
-          if (cur.pending_io.retry != nullptr) {
-            // A live retry closure is not snapshotable by design — but once
+          // Work out the park's completion value first (a sleep need not
+          // actually elapse).
+          const int64_t result = rt.FinishPark(cur, cont);
+          if (cur.pending_io.op.fd_class()) {
+            // An fd-class park is not snapshotable by design — but once
             // completed, its answer is pure data: convert the park to a
-            // scripted completion and snapshot THERE. (The closure applies
-            // its own fd/trace effects, so they land in the blob.)
-            std::function<int64_t()> retry = std::move(cur.pending_io.retry);
-            cur.pending_io.retry = nullptr;
-            result = retry();
+            // scripted completion and snapshot THERE. (The re-dispatch
+            // applied its fd effects, so they land in the blob.)
             cur.pending_io.op = wali::IoOp::Scripted(result);
-          } else if (cur.pending_io.op.kind == wali::IoOp::Kind::kScripted) {
-            result = cur.pending_io.op.scripted_result;
-          }  // kSleep completes with 0; no need to actually sleep.
+          }
 
           auto snap = wali::SnapshotProcess(cur, cont);
           if (!snap.ok()) {
@@ -842,17 +838,17 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
 
           auto fresh = rt.CreateProcess(*parsed, {w.name}, {});
           ASSERT_TRUE(fresh.ok()) << label << " " << fresh.status().ToString();
-          wali::IoOp op;
-          common::Status restored = wali::RestoreProcess(
-              snap->data(), snap->size(), **fresh, cont, &op);
+          common::Status restored =
+              wali::RestoreProcess(snap->data(), snap->size(), **fresh, cont);
           ASSERT_TRUE(restored.ok()) << label << " " << restored.ToString();
-          EXPECT_EQ(static_cast<int>(op.kind),
+          EXPECT_EQ(static_cast<int>((*fresh)->pending_io.op.kind),
                     static_cast<int>(cur.pending_io.op.kind))
               << label;
           (*fresh)->park_after_syscalls = kParkEvery;
           live.push_back(std::move(*fresh));
           ++round_trips;
-          got = rt.ResumeMain(*live.back(), cont, result);
+          got = rt.ResumeMain(*live.back(), cont,
+                              rt.FinishPark(*live.back(), cont));
         }
 
         EXPECT_GT(parks, 0) << label << ": workload never parked — park hook dead?";
@@ -907,16 +903,7 @@ TEST(WasmSnapshotWorkloads, ScriptedParkHookIsTransparent) {
   while (got.trap == TrapKind::kSyscallPending) {
     ++parks;
     ASSERT_LT(parks, 1000000);
-    wali::WaliProcess& cur = **proc;
-    int64_t result = 0;
-    if (cur.pending_io.retry != nullptr) {
-      std::function<int64_t()> retry = std::move(cur.pending_io.retry);
-      cur.pending_io.retry = nullptr;
-      result = retry();
-    } else if (cur.pending_io.op.kind == wali::IoOp::Kind::kScripted) {
-      result = cur.pending_io.op.scripted_result;
-    }
-    got = rt.ResumeMain(cur, cont, result);
+    got = rt.ResumeMain(**proc, cont, rt.FinishPark(**proc, cont));
   }
   EXPECT_GT(parks, 0);
   EXPECT_EQ(want.trap, got.trap) << got.trap_message;
