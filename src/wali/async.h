@@ -14,6 +14,16 @@
 // prompt — and materializes it into the suspended guest frame via
 // WaliRuntime::ResumeMain. A park is plain data end to end.
 //
+// A handler parks only when the syscall would block. A park is a full
+// round trip through the host, and the kernel answers a ready fd at once,
+// so fd-class handlers go through WaliCtx::ParkIfWouldBlock: a zero-timeout
+// poll(2) probe (kernel time, not a guest syscall) and a park only when the
+// op's events are not ready. A ready fd, HUP and ERR included, takes the
+// blocking path now — the code a resumed park runs — and zero-length
+// transfers never park. poll/ppoll probe the guest's own set the same way.
+// POLLOUT promises room for some bytes, not for a whole large buffer, so a
+// big blocking write can still hold a worker, as a resumed write could.
+//
 // This header is intentionally tiny and dependency-free: it is the whole
 // contract between the WALI syscall layer and the host completion loop.
 #ifndef SRC_WALI_ASYNC_H_

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <sys/ioctl.h>
 #include <limits.h>
+#include <poll.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -148,6 +149,20 @@ int64_t WaliCtx::Raw(long number, long a0, long a1, long a2, long a3, long a4,
     proc.trace.AddKernelNanos(common::MonotonicNanos() - t0);
   }
   return ret;
+}
+
+bool WaliCtx::ParkIfWouldBlock(int fd, short events) const {
+  if (!CanOffloadFd(fd)) {
+    return false;
+  }
+  struct pollfd pfd = {fd, events, 0};
+  struct timespec zero = {0, 0};
+  if (Raw(SYS_ppoll, reinterpret_cast<long>(&pfd), 1,
+          reinterpret_cast<long>(&zero), 0, 8) != 0) {
+    return false;  // ready, hup/err, or no answer: the blocking path decides
+  }
+  Park(events == POLLIN ? IoOp::Readable(fd) : IoOp::Writable(fd));
+  return true;
 }
 
 std::string NormalizePath(const std::string& path) {

@@ -61,13 +61,33 @@ struct WaliCtx {
   // blocking: the host entered it resumably (ExecOptions::suspend_to) and
   // no park request is already armed. Guest threads and signal-handler
   // re-entries always see false and take the blocking path, and so does a
-  // resumed call (its park is still armed while it re-dispatches).
+  // resumed call (its park is still armed while it re-dispatches). A park
+  // costs a full round trip through the host, so handlers park only when
+  // the call would block: see ParkIfWouldBlock.
   bool CanOffload() const {
     return exec.opts.suspend_to != nullptr && !proc.pending_io.armed;
   }
+  // CanOffload() for an op on `fd`, and the fd can block: a pipe, socket or
+  // char device the guest did not make O_NONBLOCK (those answer -EAGAIN
+  // inline, never park).
+  bool CanOffloadFd(int fd) const {
+    return CanOffload() && proc.OffloadableCached(fd);
+  }
+  // The gate of every single-fd park site (read, write, readv, writev,
+  // accept, accept4; poll/ppoll probe their set the same way, and connect's
+  // non-blocking attempt is its own probe): parks on `fd` becoming ready for
+  // `events` (POLLIN or POLLOUT) and returns true only when the op would
+  // block — CanOffloadFd(fd), and a zero-timeout poll(2) on the fd finds
+  // `events` not ready. Otherwise returns false and the handler runs its
+  // blocking path, which the kernel answers at once (HUP and ERR count as
+  // ready): the same code a resumed park runs, so only the park is saved.
+  // The probe goes through Raw, so it is kernel time inside the WALI span
+  // and not a guest syscall.
+  bool ParkIfWouldBlock(int fd, short events) const;
   // Files a park request (see src/wali/async.h): the dispatch wrapper turns
   // it into kSyscallPending and the handler's return value is ignored. Only
-  // call when CanOffload().
+  // call when CanOffload(); read/write/accept parks go through
+  // ParkIfWouldBlock.
   void Park(IoOp op) const {
     proc.pending_io.armed = true;
     proc.pending_io.op = std::move(op);

@@ -3,6 +3,7 @@
 // the ISA layout conversion of §3.5 via src/abi.
 #include <errno.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
@@ -43,6 +44,14 @@ int TranslateIovecs(wasm::Memory& mem, uint64_t iov_addr, uint64_t iovcnt,
   return 0;
 }
 
+// True when a translated iovec array moves at least one byte.
+bool IovecsMoveBytes(const struct iovec* iov, uint64_t iovcnt) {
+  for (uint64_t i = 0; i < iovcnt; ++i) {
+    if (iov[i].iov_len != 0) return true;
+  }
+  return false;
+}
+
 // Shared body of the stat family: runs the raw syscall into a native buffer
 // and marshals to the portable WaliKStat in guest memory.
 int64_t StatCommon(WaliCtx& c, int64_t raw_result, const struct stat& native,
@@ -58,29 +67,23 @@ int64_t StatCommon(WaliCtx& c, int64_t raw_result, const struct stat& native,
   return 0;
 }
 
-// read/write/readv/writev park on their fd's readiness class when the fd
-// can block. At resume the same handler is re-dispatched with the park
-// still armed, so it takes the blocking path below — prompt now — and
-// re-translates the guest buffers against the live memory.
+// read/write/readv/writev park on their fd's readiness class only when
+// the transfer would block (WaliCtx::ParkIfWouldBlock). A zero-length
+// transfer never parks: the kernel answers it with 0 at once, ready or not.
+// At resume the same handler is re-dispatched with the park still armed,
+// so it takes the blocking path below — prompt now — and re-translates the
+// guest buffers against the live memory.
 int64_t SysRead(WaliCtx& c, const int64_t* a) {
   void* buf = c.Ptr(a[1], a[2]);
   if (buf == nullptr && a[2] != 0) return -EFAULT;
-  int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    c.Park(IoOp::Readable(fd));
-    return 0;
-  }
+  if (a[2] != 0 && c.ParkIfWouldBlock(static_cast<int>(a[0]), POLLIN)) return 0;
   return c.Raw(SYS_read, a[0], reinterpret_cast<long>(buf), a[2]);
 }
 
 int64_t SysWrite(WaliCtx& c, const int64_t* a) {
   void* buf = c.Ptr(a[1], a[2]);
   if (buf == nullptr && a[2] != 0) return -EFAULT;
-  int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    c.Park(IoOp::Writable(fd));
-    return 0;
-  }
+  if (a[2] != 0 && c.ParkIfWouldBlock(static_cast<int>(a[0]), POLLOUT)) return 0;
   return c.Raw(SYS_write, a[0], reinterpret_cast<long>(buf), a[2]);
 }
 
@@ -88,9 +91,8 @@ int64_t SysReadv(WaliCtx& c, const int64_t* a) {
   struct iovec iov[kMaxIov];
   int rc = TranslateIovecs(c.mem, a[1], a[2], iov);
   if (rc != 0) return rc;
-  int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    c.Park(IoOp::Readable(fd));
+  if (IovecsMoveBytes(iov, a[2]) &&
+      c.ParkIfWouldBlock(static_cast<int>(a[0]), POLLIN)) {
     return 0;
   }
   return c.Raw(SYS_readv, a[0], reinterpret_cast<long>(iov), a[2]);
@@ -100,9 +102,8 @@ int64_t SysWritev(WaliCtx& c, const int64_t* a) {
   struct iovec iov[kMaxIov];
   int rc = TranslateIovecs(c.mem, a[1], a[2], iov);
   if (rc != 0) return rc;
-  int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    c.Park(IoOp::Writable(fd));
+  if (IovecsMoveBytes(iov, a[2]) &&
+      c.ParkIfWouldBlock(static_cast<int>(a[0]), POLLOUT)) {
     return 0;
   }
   return c.Raw(SYS_writev, a[0], reinterpret_cast<long>(iov), a[2]);

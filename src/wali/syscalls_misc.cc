@@ -74,16 +74,28 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
                uaddr2, a[5]);
 }
 
+// poll(2) on the guest's own set with timeout 0. A blocking poll runs it
+// before parking — a nonzero answer (ready fds, or an error) is what the
+// blocking call would return at once, so it returns inline — and a resumed
+// one collects its answer with it: a readiness completion fills in
+// revents, a timeout completion correctly reports 0 ready fds.
+int64_t PollNow(WaliCtx& c, void* fds, uint64_t nfds) {
+  struct timespec zero = {0, 0};
+  return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds,
+               reinterpret_cast<long>(&zero), 0, 8);
+}
+
 // Parks a poll/ppoll on its full interest set: one kPollSet member per
 // guest pollfd entry, events passed through verbatim (the union of
 // requested interests — a POLLIN|POLLOUT waiter wakes on either class, and
 // error/hup/nval always count). Negative fds ride along as placeholders
 // and are skipped by every backend, so an all-negative set parks as a pure
-// timer, matching poll(2). At resume the handler is re-dispatched with
-// `resuming` set and re-polls with timeout 0: a readiness completion fills
-// in revents, a timeout completion correctly reports 0 ready fds.
-void ParkPollSet(WaliCtx& c, const void* fds, uint64_t nfds,
-                 int64_t timeout_nanos) {
+// timer, matching poll(2). Parks only when PollNow finds nothing ready;
+// returns PollNow's answer, so 0 means parked.
+int64_t PollOrPark(WaliCtx& c, void* fds, uint64_t nfds,
+                    int64_t timeout_nanos) {
+  int64_t ready = PollNow(c, fds, nfds);
+  if (ready != 0) return ready;
   std::vector<IoOp::PollFd> set;
   set.reserve(nfds);
   for (uint64_t i = 0; i < nfds; ++i) {
@@ -92,16 +104,19 @@ void ParkPollSet(WaliCtx& c, const void* fds, uint64_t nfds,
     set.push_back(IoOp::PollFd{pfd.fd, pfd.events});
   }
   c.Park(IoOp::PollSet(std::move(set), timeout_nanos));
+  return 0;
 }
 
 int64_t SysPoll(WaliCtx& c, const int64_t* a) {
   uint64_t nfds = static_cast<uint64_t>(a[1]);
   void* fds = c.Ptr(a[0], nfds * 8);  // struct pollfd = 8 bytes everywhere
   if (fds == nullptr && nfds != 0) return -EFAULT;
+  if (c.resuming) return PollNow(c, fds, nfds);
   // Blocking polls park on the whole interest set — multi-fd, dual-interest
-  // (POLLIN|POLLOUT), the lot — bounded by the poll's own timeout.
-  // Zero-timeout polls are non-blocking by contract and go straight to the
-  // kernel; oversized sets take the blocking path (see kMaxOffloadPollFds).
+  // (POLLIN|POLLOUT), the lot — bounded by the poll's own timeout, when
+  // nothing in the set is ready yet. Zero-timeout polls are non-blocking by
+  // contract and go straight to the kernel; oversized sets take the
+  // blocking path (see kMaxOffloadPollFds).
   if (c.CanOffload() && a[2] != 0 && nfds >= 1 && nfds <= kMaxOffloadPollFds) {
     // poll(2)'s timeout is an int of milliseconds; clamp to that range
     // before converting so a guest-supplied 64-bit value can't signed-
@@ -109,18 +124,16 @@ int64_t SysPoll(WaliCtx& c, const int64_t* a) {
     // as infinite rather than wrap negative and park with no timeout).
     int64_t timeout_nanos =
         (a[2] < 0 || a[2] > INT_MAX) ? -1 : a[2] * 1000000;
-    ParkPollSet(c, fds, nfds, timeout_nanos);
-    return 0;
+    return PollOrPark(c, fds, nfds, timeout_nanos);
   }
-  const int64_t timeout_ms = c.resuming ? 0 : a[2];
 #ifdef SYS_poll
-  return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, timeout_ms);
+  return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, a[2]);
 #else
   struct timespec ts;
   struct timespec* tsp = nullptr;
-  if (timeout_ms >= 0) {
-    ts.tv_sec = timeout_ms / 1000;
-    ts.tv_nsec = (timeout_ms % 1000) * 1000000;
+  if (a[2] >= 0) {
+    ts.tv_sec = a[2] / 1000;
+    ts.tv_nsec = (a[2] % 1000) * 1000000;
     tsp = &ts;
   }
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds,
@@ -143,13 +156,16 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
     if (mask == nullptr) return -EFAULT;
     mask_ptr = reinterpret_cast<long>(mask);
   }
+  // Only a park with a null sigmask is ever resumed, and ppoll never
+  // writes the remaining time back, so re-polling with a zero timespec is
+  // semantically equivalent at resume.
+  if (c.resuming) return PollNow(c, fds, nfds);
   // ppoll is what musl-linked guests actually call for poll(3), so it
   // parks through the same path as SysPoll. A non-null sigmask needs the
   // atomic mask-swap ppoll exists for, which a parked completion loop
-  // cannot honor — refuse to park and let the kernel do it. ppoll never
-  // writes the remaining time back, so re-polling with a zero timespec is
-  // semantically equivalent at resume. A null timespec blocks forever
-  // (timeout -1); a zero one is non-blocking and answers inline.
+  // cannot honor — refuse to park and let the kernel do it. A null
+  // timespec blocks forever (timeout -1); a zero one is non-blocking and
+  // answers inline.
   if (c.CanOffload() && a[3] == 0 && nfds >= 1 && nfds <= kMaxOffloadPollFds) {
     int64_t timeout_nanos = -1;
     if (ts_ptr != 0) {
@@ -158,13 +174,8 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
       if (!SleepDurationNanos(ts, &timeout_nanos)) return -EINVAL;
     }
     if (timeout_nanos != 0) {
-      ParkPollSet(c, fds, nfds, timeout_nanos);
-      return 0;
+      return PollOrPark(c, fds, nfds, timeout_nanos);
     }
-  }
-  struct timespec zero = {0, 0};
-  if (c.resuming) {
-    ts_ptr = reinterpret_cast<long>(&zero);
   }
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds, ts_ptr, mask_ptr, 8);
 }

@@ -3,6 +3,7 @@
 // after translation. msghdr is rebuilt from the guest's wasm32 layout.
 #include <errno.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 
@@ -63,21 +64,16 @@ int64_t AddrLenCall(WaliCtx& c, long nr, int64_t fd, int64_t addr, int64_t lenp,
 }
 
 // Offloaded accept: park until the listening socket is readable (a pending
-// connection). The re-dispatch at resume takes the blocking path, and
-// FinishPark's fd-effect pass tracks the minted fd as for any accept.
+// connection), and only when none is pending yet. The re-dispatch at resume
+// takes the blocking path, and FinishPark's fd-effect pass tracks the
+// minted fd as for any accept.
 int64_t SysAccept(WaliCtx& c, const int64_t* a) {
-  if (c.CanOffload() && c.proc.OffloadableCached(static_cast<int>(a[0]))) {
-    c.Park(IoOp::Readable(static_cast<int>(a[0])));
-    return 0;
-  }
+  if (c.ParkIfWouldBlock(static_cast<int>(a[0]), POLLIN)) return 0;
   return AddrLenCall(c, SYS_accept, a[0], a[1], a[2]);
 }
 
 int64_t SysAccept4(WaliCtx& c, const int64_t* a) {
-  if (c.CanOffload() && c.proc.OffloadableCached(static_cast<int>(a[0]))) {
-    c.Park(IoOp::Readable(static_cast<int>(a[0])));
-    return 0;
-  }
+  if (c.ParkIfWouldBlock(static_cast<int>(a[0]), POLLIN)) return 0;
   return AddrLenCall(c, SYS_accept4, a[0], a[1], a[2], a[3], /*has_flags=*/true);
 }
 
@@ -99,10 +95,11 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
   // socket is writable (connect(2)'s completion signal). The O_NONBLOCK
   // flip is reverted immediately — the guest never observes the flag, and
   // the offload cache keys on the guest-visible state. Sockets the guest
-  // itself made non-blocking answer inline by definition (OffloadableCached
-  // is false for them), so -EINPROGRESS never leaks to a guest that didn't
-  // ask for it.
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
+  // itself made non-blocking answer inline by definition (CanOffloadFd is
+  // false for them), so -EINPROGRESS never leaks to a guest that didn't ask
+  // for it. Connect needs no readiness probe: the non-blocking attempt is
+  // its probe, and only -EINPROGRESS parks.
+  if (c.CanOffloadFd(fd)) {
     const int64_t flags = c.Raw(SYS_fcntl, fd, F_GETFL, 0);
     if (flags >= 0 &&
         c.Raw(SYS_fcntl, fd, F_SETFL, flags | O_NONBLOCK) == 0) {

@@ -6,17 +6,22 @@
 // after a guest was shed, deadline sheds of parked guests, tenant Forget
 // and budget exhaustion mid-park, and supervisor shutdown with parked
 // guests — all without real I/O or real time (the sole blocking-baseline
-// differential uses a 2ms real sleep).
+// differential uses a 2ms real sleep). Handlers park only when the syscall
+// would block, so a guest that must park talks through fds the test holds
+// the far ends of and keeps not ready (PeerPipes); the ready-fd side of
+// that rule runs on the real IoReactor.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <future>
 #include <memory>
@@ -70,15 +75,35 @@ const char* kTwoSleepGuest = R"(
     (i32.rem_u (local.get $acc) (i32.const 97)))
 )";
 
-// Pipe round-trip through parked writes and reads: pipe2, write one byte
-// (parks: Writable), read it back (parks: Readable), exit with the byte.
-const char* kPipeGuest = R"(
+// `$argfd i` parses argv[i], written by FdArg, as an fd number. Guests
+// that must genuinely wait talk through fds whose far ends the test holds.
+const char* kArgFdFunc = R"(
+  (func $argfd (param $i i64) (result i64)
+    (local $fd i64) (local $k i32)
+    (drop (call $copy_argv (i64.const 128) (local.get $i)))
+    (block $done
+      (loop $digit
+        (br_if $done (i32.ge_u (local.get $k) (i32.const 4)))
+        (local.set $fd
+          (i64.add (i64.mul (local.get $fd) (i64.const 10))
+                   (i64.extend_i32_u
+                     (i32.sub (i32.load8_u (i32.add (i32.const 128) (local.get $k)))
+                              (i32.const 48)))))
+        (local.set $k (i32.add (local.get $k) (i32.const 1)))
+        (br $digit)))
+    (local.get $fd))
+)";
+
+// Pipe round trip through the test: write one byte into argv[1] (a full
+// pipe, so it parks Writable until the test drains it), read it back from
+// argv[2] (an empty pipe, so it parks Readable until the test forwards the
+// byte), exit with the byte.
+const std::string kPipeGuest = std::string(kArgFdFunc) + R"(
   (memory 2)
   (func (export "main") (result i32)
-    (local $rfd i64) (local $wfd i64) (local $r i64)
-    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
-    (local.set $rfd (i64.load32_s (i32.const 256)))
-    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (local $wfd i64) (local $rfd i64) (local $r i64)
+    (local.set $wfd (call $argfd (i64.const 1)))
+    (local.set $rfd (call $argfd (i64.const 2)))
     (i32.store8 (i32.const 1024) (i32.const 77))
     (drop (call $write (local.get $wfd) (i64.const 1024) (i64.const 1)))
     (local.set $r (call $read (local.get $rfd) (i64.const 2048) (i64.const 1)))
@@ -130,18 +155,16 @@ const char* kPpollSleeperGuest = R"(
     (i32.const 21))
 )";
 
-// poll with events = POLLIN|POLLOUT on a fresh socketpair end, 1s timeout.
-// The park must carry BOTH interests; the socket is writable, so the resumed
-// poll materializes revents = POLLOUT and the guest exits with it (4).
-const char* kDualInterestPollGuest = R"(
+// poll with events = POLLIN|POLLOUT on the socket in argv[1], 1s timeout.
+// The test fills the socket's send buffer first and sends nothing, so the
+// park must carry BOTH interests; once the test drains the far end the
+// socket is writable, the resumed poll materializes revents = POLLOUT and
+// the guest exits with it (4).
+const std::string kDualInterestPollGuest = std::string(kArgFdFunc) + R"(
   (memory 2)
   (func (export "main") (result i32)
     (local $fd i64) (local $r i64)
-    (if (i64.ne (call $socketpair (i64.const 1) (i64.const 1) (i64.const 0)
-                                  (i64.const 256))
-                (i64.const 0))
-      (then (return (i32.const 250))))
-    (local.set $fd (i64.load32_s (i32.const 256)))
+    (local.set $fd (call $argfd (i64.const 1)))
     ;; pollfd at 512: fd, events = POLLIN|POLLOUT = 5
     (i32.store (i32.const 512) (i32.wrap_i64 (local.get $fd)))
     (i32.store16 (i32.const 516) (i32.const 5))
@@ -173,16 +196,16 @@ const char* kFutexWaitGuest = R"(
     (i32.const 31))
 )";
 
-// writev then readv through a pipe, two single-byte iovecs each: both park
-// on their readiness class and the retries re-translate the iovec arrays
-// against live memory. Exits 40 + 2 = 42.
-const char* kVectoredPipeGuest = R"(
+// writev then readv through the test's pipes (argv[1] full, argv[2]
+// empty, as for kPipeGuest), two single-byte iovecs each: both park on
+// their readiness class and the resumed calls re-translate the iovec
+// arrays against live memory. Exits 40 + 2 = 42.
+const std::string kVectoredPipeGuest = std::string(kArgFdFunc) + R"(
   (memory 2)
   (func (export "main") (result i32)
-    (local $rfd i64) (local $wfd i64) (local $r i64)
-    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
-    (local.set $rfd (i64.load32_s (i32.const 256)))
-    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (local $wfd i64) (local $rfd i64) (local $r i64)
+    (local.set $wfd (call $argfd (i64.const 1)))
+    (local.set $rfd (call $argfd (i64.const 2)))
     (i32.store8 (i32.const 1024) (i32.const 40))
     (i32.store8 (i32.const 1025) (i32.const 2))
     ;; iov at 768: [{1024,1},{1025,1}]
@@ -240,22 +263,23 @@ const char* kConnectGuest = R"(
     (i32.const 52))
 )";
 
-// 64 round trips of 64 bytes through a blocking pipe: every write parks
-// (Writable) and every read parks (Readable), 128 parks in all. Exits 0.
-const char* kPipePingPongGuest = R"(
+// 64 round trips of 64 bytes with a peer over the socket in argv[1]. The
+// peer (PingPongPeer) keeps the socket's send buffer full until each write
+// has parked, and answers each read only after it has parked: every write
+// parks (Writable) and every read parks (Readable), 128 parks in all.
+// Exits 0.
+const std::string kPingPongGuest = std::string(kArgFdFunc) + R"(
   (memory 2)
   (func (export "main") (result i32)
-    (local $rfd i64) (local $wfd i64) (local $i i32)
-    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
-    (local.set $rfd (i64.load32_s (i32.const 256)))
-    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (local $fd i64) (local $i i32)
+    (local.set $fd (call $argfd (i64.const 1)))
     (block $done
       (loop $next
         (br_if $done (i32.ge_u (local.get $i) (i32.const 64)))
-        (if (i64.ne (call $write (local.get $wfd) (i64.const 1024) (i64.const 64))
+        (if (i64.ne (call $write (local.get $fd) (i64.const 1024) (i64.const 64))
                     (i64.const 64))
           (then (return (i32.const 1))))
-        (if (i64.ne (call $read (local.get $rfd) (i64.const 2048) (i64.const 64))
+        (if (i64.ne (call $read (local.get $fd) (i64.const 2048) (i64.const 64))
                     (i64.const 64))
           (then (return (i32.const 2))))
         (local.set $i (i32.add (local.get $i) (i32.const 1)))
@@ -295,6 +319,135 @@ const char* kBurnGuest = R"(
         (local.set $i (i32.add (local.get $i) (i32.const 1)))
         (br $spin)))
     (i32.const 0))
+)";
+
+// Zero-length transfers: read/readv of nothing from the guest's own empty
+// pipe, write/writev of nothing into the full pipe in argv[1]. The kernel
+// answers each with 0 at once, though neither pipe is ready. Exits 9 when
+// all four do.
+const std::string kZeroLengthGuest = std::string(kArgFdFunc) + R"(
+  (memory 2)
+  (func (export "main") (result i32)
+    (local $rfd i64) (local $wfd i64)
+    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
+    (local.set $rfd (i64.load32_s (i32.const 256)))
+    (local.set $wfd (call $argfd (i64.const 1)))
+    (if (i64.ne (call $read (local.get $rfd) (i64.const 1024) (i64.const 0))
+                (i64.const 0))
+      (then (return (i32.const 1))))
+    ;; iov at 768: [{1024,0}]
+    (i32.store (i32.const 768) (i32.const 1024))
+    (i32.store (i32.const 772) (i32.const 0))
+    (if (i64.ne (call $readv (local.get $rfd) (i64.const 768) (i64.const 1))
+                (i64.const 0))
+      (then (return (i32.const 2))))
+    (if (i64.ne (call $write (local.get $wfd) (i64.const 1024) (i64.const 0))
+                (i64.const 0))
+      (then (return (i32.const 3))))
+    (if (i64.ne (call $writev (local.get $wfd) (i64.const 768) (i64.const 0))
+                (i64.const 0))
+      (then (return (i32.const 4))))
+    (i32.const 9))
+)";
+
+// Every fd-class park site, each finding its op ready: write/writev into an
+// empty socketpair, read/readv of the queued bytes, poll and ppoll with a
+// timeout on a writable member, accept and accept4 with a pending
+// connection, a read whose peer has closed (EOF: HUP counts as ready), and
+// a read of a guest-set O_NONBLOCK pipe (-EAGAIN). Exits 42 when every
+// answer matches the blocking path's; otherwise the failing step's number.
+const char* kReadyIoGuest = R"(
+  (memory 2)
+  (func (export "main") (result i32)
+    (local $s0 i64) (local $s1 i64) (local $ls i64)
+    (if (i64.ne (call $socketpair (i64.const 1) (i64.const 1) (i64.const 0)
+                                  (i64.const 256))
+                (i64.const 0))
+      (then (return (i32.const 1))))
+    (local.set $s0 (i64.load32_s (i32.const 256)))
+    (local.set $s1 (i64.load32_s (i32.const 260)))
+    (i64.store (i32.const 1024) (i64.const 0x0102030405060708))
+    (i64.store (i32.const 1032) (i64.const 0x1112131415161718))
+    (if (i64.ne (call $write (local.get $s0) (i64.const 1024) (i64.const 8))
+                (i64.const 8))
+      (then (return (i32.const 2))))
+    ;; iov at 768: [{1032,4},{1036,4}]
+    (i32.store (i32.const 768) (i32.const 1032))
+    (i32.store (i32.const 772) (i32.const 4))
+    (i32.store (i32.const 776) (i32.const 1036))
+    (i32.store (i32.const 780) (i32.const 4))
+    (if (i64.ne (call $writev (local.get $s0) (i64.const 768) (i64.const 2))
+                (i64.const 8))
+      (then (return (i32.const 3))))
+    (if (i64.ne (call $read (local.get $s1) (i64.const 2048) (i64.const 8))
+                (i64.const 8))
+      (then (return (i32.const 4))))
+    ;; iov at 832: [{2056,4},{2060,4}]
+    (i32.store (i32.const 832) (i32.const 2056))
+    (i32.store (i32.const 836) (i32.const 4))
+    (i32.store (i32.const 840) (i32.const 2060))
+    (i32.store (i32.const 844) (i32.const 4))
+    (if (i64.ne (call $readv (local.get $s1) (i64.const 832) (i64.const 2))
+                (i64.const 8))
+      (then (return (i32.const 5))))
+    (if (i64.ne (i64.load (i32.const 2048)) (i64.load (i32.const 1024)))
+      (then (return (i32.const 6))))
+    (if (i64.ne (i64.load (i32.const 2056)) (i64.load (i32.const 1032)))
+      (then (return (i32.const 7))))
+    ;; pollfd at 512: s0, events = POLLOUT; 1 s timeout
+    (i32.store (i32.const 512) (i32.wrap_i64 (local.get $s0)))
+    (i32.store16 (i32.const 516) (i32.const 4))
+    (if (i64.ne (call $poll (i64.const 512) (i64.const 1) (i64.const 1000))
+                (i64.const 1))
+      (then (return (i32.const 8))))
+    (if (i32.ne (i32.load16_u (i32.const 518)) (i32.const 4))
+      (then (return (i32.const 9))))
+    ;; timespec at 528: 1 s
+    (i64.store (i32.const 528) (i64.const 1))
+    (i64.store (i32.const 536) (i64.const 0))
+    (if (i64.ne (call $ppoll (i64.const 512) (i64.const 1) (i64.const 528)
+                             (i64.const 0) (i64.const 8))
+                (i64.const 1))
+      (then (return (i32.const 10))))
+    ;; a unix listener, autobound (sockaddr at 576 holds only AF_UNIX)
+    (local.set $ls (call $socket (i64.const 1) (i64.const 1) (i64.const 0)))
+    (i32.store16 (i32.const 576) (i32.const 1))
+    (if (i64.ne (call $bind (local.get $ls) (i64.const 576) (i64.const 2))
+                (i64.const 0))
+      (then (return (i32.const 11))))
+    (if (i64.ne (call $listen (local.get $ls) (i64.const 4)) (i64.const 0))
+      (then (return (i32.const 12))))
+    ;; its address into 576, length at 700
+    (i32.store (i32.const 700) (i32.const 110))
+    (if (i64.ne (call $getsockname (local.get $ls) (i64.const 576) (i64.const 700))
+                (i64.const 0))
+      (then (return (i32.const 13))))
+    (if (i64.ne (call $connect (call $socket (i64.const 1) (i64.const 1) (i64.const 0))
+                               (i64.const 576) (i64.load32_u (i32.const 700)))
+                (i64.const 0))
+      (then (return (i32.const 14))))
+    (if (i64.lt_s (call $accept (local.get $ls) (i64.const 0) (i64.const 0))
+                  (i64.const 0))
+      (then (return (i32.const 15))))
+    (if (i64.ne (call $connect (call $socket (i64.const 1) (i64.const 1) (i64.const 0))
+                               (i64.const 576) (i64.load32_u (i32.const 700)))
+                (i64.const 0))
+      (then (return (i32.const 16))))
+    (if (i64.lt_s (call $accept4 (local.get $ls) (i64.const 0) (i64.const 0)
+                                 (i64.const 0))
+                  (i64.const 0))
+      (then (return (i32.const 17))))
+    (drop (call $close (local.get $s0)))
+    (if (i64.ne (call $read (local.get $s1) (i64.const 2048) (i64.const 8))
+                (i64.const 0))
+      (then (return (i32.const 18))))
+    ;; pipe2 at 720 with O_NONBLOCK
+    (drop (call $pipe2 (i64.const 720) (i64.const 2048)))
+    (if (i64.ne (call $read (i64.load32_s (i32.const 720)) (i64.const 2048)
+                            (i64.const 8))
+                (i64.const -11))
+      (then (return (i32.const 19))))
+    (i32.const 42))
 )";
 
 struct ManualClock {
@@ -359,6 +512,89 @@ bool WaitForPending(const host::FakeIoBackend& fake, size_t n,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return fake.pending() == n;
+}
+
+// Real-backend analogue of WaitForPending: bounds the wait for the
+// supervisor to have parked `n` times in all.
+bool WaitForParks(const host::Supervisor& sup, uint64_t n,
+                  int timeout_ms = 10000) {
+  for (int i = 0; i < timeout_ms * 10; ++i) {
+    if (sup.io_stats().parks_total >= n) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return sup.io_stats().parks_total >= n;
+}
+
+// The argv form `$argfd` parses: four decimal digits.
+std::string FdArg(int fd) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%04d", fd);
+  return buf;
+}
+
+// Writes filler through `fd` until a write would block, so the next write
+// through it genuinely waits. O_NONBLOCK is set only for the fill.
+void FillUntilFull(int fd) {
+  const int fl = ::fcntl(fd, F_GETFL);
+  ASSERT_GE(fl, 0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, fl | O_NONBLOCK), 0);
+  char buf[4096] = {};
+  while (::write(fd, buf, sizeof(buf)) > 0) {
+  }
+  while (::write(fd, buf, 1) > 0) {
+  }
+  ASSERT_EQ(::fcntl(fd, F_SETFL, fl), 0);
+}
+
+// Reads everything queued on the non-blocking `fd`.
+std::string ReadAll(int fd) {
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    out.append(buf, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+// The pipes a kPipeGuest-shaped guest talks through: it writes into `out`,
+// full until the test drains it, and reads from `in`, empty until the
+// test forwards what the guest wrote. The test's ends are non-blocking;
+// the guest's are blocking, so its I/O parks.
+struct PeerPipes {
+  int out[2] = {-1, -1};
+  int in[2] = {-1, -1};
+
+  PeerPipes() {
+    EXPECT_EQ(::pipe(out), 0);
+    EXPECT_EQ(::pipe(in), 0);
+    EXPECT_EQ(::fcntl(out[0], F_SETFL, O_NONBLOCK), 0);
+    EXPECT_EQ(::fcntl(in[1], F_SETFL, O_NONBLOCK), 0);
+    FillUntilFull(out[1]);
+  }
+  ~PeerPipes() {
+    for (int fd : {out[0], out[1], in[0], in[1]}) ::close(fd);
+  }
+  std::vector<std::string> Argv() const {
+    return {"t", FdArg(out[1]), FdArg(in[0])};
+  }
+  // Empties `out`: the guest's parked write can go through.
+  void Drain() { ReadAll(out[0]); }
+  // Moves what the guest wrote into `in`: its parked read can go through.
+  void Forward() {
+    std::string bytes = ReadAll(out[0]);
+    ASSERT_EQ(::write(in[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+};
+
+host::GuestJob PeerJob(std::shared_ptr<const wasm::Module> module,
+                       std::vector<std::string> argv) {
+  host::GuestJob job = MakeJob(std::move(module), "t");
+  job.argv = std::move(argv);
+  return job;
 }
 
 TEST(HostIo, ParkedSleepReleasesWorkerAndResumes) {
@@ -471,25 +707,29 @@ TEST(HostIo, SuspendedRunBitIdenticalToBlockingRun) {
 }
 
 TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
-  // Write parks (Writable), read parks (Readable); the test drives the
-  // completion ORDER and the retries perform the real, now-ready syscalls.
+  // Write parks (Writable) on a full pipe, read parks (Readable) on an
+  // empty one; the test drives the completion ORDER and the re-dispatches
+  // perform the real, now-ready syscalls.
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
+  PeerPipes pipes;
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  std::future<host::RunReport> fut = w.sup->Submit(PeerJob(*module, pipes.Argv()));
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
   ASSERT_EQ(cookies.size(), 1u);
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+  pipes.Drain();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: re-dispatched write
 
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+  pipes.Forward();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: re-dispatched read
 
   host::RunReport r = fut.get();
@@ -505,10 +745,12 @@ TEST(HostIo, ScriptedResultOverridesRetry) {
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
   ASSERT_TRUE(module.ok());
+  PeerPipes pipes;
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  std::future<host::RunReport> fut = w.sup->Submit(PeerJob(*module, pipes.Argv()));
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
+  pipes.Drain();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // write proceeds
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
@@ -557,8 +799,13 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kDualInterestPollGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_EQ(::fcntl(sv[1], F_SETFL, O_NONBLOCK), 0);
+  FillUntilFull(sv[0]);  // neither readable nor writable: the poll must wait
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  std::future<host::RunReport> fut =
+      w.sup->Submit(PeerJob(*module, {"t", FdArg(sv[0])}));
   ASSERT_TRUE(WaitForPending(*w.fake, 1))
       << "dual-interest poll must still offload";
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
@@ -570,11 +817,14 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
   EXPECT_EQ(op.poll_fds[0].events, POLLIN | POLLOUT)
       << "the parked op must keep the union of interests";
 
+  ReadAll(sv[1]);
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // socket is writable
   host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed()) << r.trap_message;
   EXPECT_EQ(r.exit_code, POLLOUT) << "guest exits with materialized revents";
   EXPECT_EQ(r.parks, 1u);
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(HostIo, FutexWaitParksAsTimer) {
@@ -606,19 +856,22 @@ TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kVectoredPipeGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
+  PeerPipes pipes;
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  std::future<host::RunReport> fut = w.sup->Submit(PeerJob(*module, pipes.Argv()));
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+  pipes.Drain();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space
 
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
   EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+  pipes.Forward();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // both bytes are there
 
   host::RunReport r = fut.get();
@@ -652,11 +905,26 @@ TEST(HostIo, ConnectParksUntilEstablished) {
   EXPECT_EQ(r.parks, 1u);
 }
 
+// The far end of kPingPongGuest's socket, against the real reactor: it
+// keeps the guest's send buffer full until each write has parked, and
+// answers each read only once it has parked.
+void PingPongPeer(const host::Supervisor& sup, int guest_fd, int peer_fd) {
+  const char reply[64] = {};
+  for (uint64_t round = 0; round < 64; ++round) {
+    EXPECT_TRUE(WaitForParks(sup, 2 * round + 1)) << "write " << round;
+    ReadAll(peer_fd);
+    EXPECT_TRUE(WaitForParks(sup, 2 * round + 2)) << "read " << round;
+    FillUntilFull(guest_fd);  // the guest is parked on its read
+    ASSERT_EQ(::write(peer_fd, reply, sizeof(reply)), 64);
+  }
+}
+
 TEST(HostIo, ResumedSyscallTimeStaysInsideWaliSpan) {
   // Regression: resumed syscalls used to charge their kernel time outside
   // any WALI span, so a park-heavy guest reported negative WALI time
   // (which excludes nested kernel time). The re-dispatch now runs inside
-  // a span like any dispatch. Real reactor: the pipe is always ready.
+  // a span like any dispatch. Real reactor, and a peer that makes every
+  // write and read genuinely wait.
   host::IoReactor reactor;
   wasm::Linker linker;
   wali::WaliRuntime runtime(&linker);
@@ -665,15 +933,24 @@ TEST(HostIo, ResumedSyscallTimeStaysInsideWaliSpan) {
   opts.workers = 1;
   opts.io_backend = &reactor;
   host::Supervisor sup(&runtime, opts);
-  auto module = cache.Load(WrapModule(kPipePingPongGuest));
+  auto module = cache.Load(WrapModule(kPingPongGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_EQ(::fcntl(sv[1], F_SETFL, O_NONBLOCK), 0);
+  FillUntilFull(sv[0]);
 
-  host::RunReport r = sup.Submit(MakeJob(*module, "t")).get();
+  std::future<host::RunReport> fut = sup.Submit(PeerJob(*module, {"t", FdArg(sv[0])}));
+  std::thread peer(PingPongPeer, std::cref(sup), sv[0], sv[1]);
+  host::RunReport r = fut.get();
+  peer.join();
   EXPECT_TRUE(r.completed()) << r.trap_message;
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_EQ(r.parks, 128u);
   EXPECT_GT(r.kernel_nanos, 0);
   EXPECT_GE(r.wali_nanos, 0);
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(HostIo, BlockedTimeIsNotQueueTime) {
@@ -820,6 +1097,90 @@ TEST(HostIo, NonBlockingIoNeverParks) {
   EXPECT_EQ(r.exit_code, 9);
   EXPECT_EQ(r.parks, 0u);
   EXPECT_EQ(w.sup->io_stats().parks_total, 0u);
+}
+
+TEST(HostIo, ZeroLengthTransfersNeverPark) {
+  // Regression: a zero-length read/readv/write/writev is answered 0 by the
+  // kernel at once, but the handlers parked it on the fd's readiness, so a
+  // 0-byte read from an empty pipe waited for data that might never come.
+  // The readiness probe alone would keep that bug: neither pipe here is
+  // ready. Nothing completes ops on the fake backend, so a park shows up
+  // as a pending op.
+  IoWorld w = MakeIoWorld(1);
+  auto module = w.cache->Load(WrapModule(kZeroLengthGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  PeerPipes pipes;
+  std::future<host::RunReport> fut = w.sup->Submit(PeerJob(*module, pipes.Argv()));
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(w.fake->pending(), 0u) << "a zero-length transfer parked";
+    if (fut.wait_for(std::chrono::milliseconds(1)) == std::future_status::ready) {
+      break;
+    }
+  }
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  host::RunReport r = fut.get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 9);
+  EXPECT_EQ(r.parks, 0u);
+}
+
+// One tier of the engine: dispatch loop plus JIT setting.
+struct Tier {
+  const char* name;
+  wasm::DispatchMode dispatch;
+  wasm::JitTier jit;
+};
+
+// Serves one run of `wat` on `tier`, offloading through `backend` (null:
+// the blocking 1:1 model). The JIT tiers up at once.
+host::RunReport ServeOnce(const std::string& wat, host::IoBackend* backend,
+                          const Tier& tier) {
+  wasm::Linker linker;
+  wali::WaliRuntime::Options ropts;
+  ropts.jit_threshold = 0;
+  wali::WaliRuntime runtime(&linker, ropts);
+  host::ModuleCache cache;
+  host::Supervisor::Options opts;
+  opts.workers = 1;
+  opts.io_backend = backend;
+  opts.dispatch = tier.dispatch;
+  opts.jit = tier.jit;
+  host::Supervisor sup(&runtime, opts);
+  auto module = cache.Load(wat);
+  EXPECT_TRUE(module.ok()) << module.status().ToString();
+  if (!module.ok()) return host::RunReport();
+  return sup.Submit(MakeJob(*module, "t")).get();
+}
+
+TEST(HostIo, ReadyIoAnswersInlineAndMatchesBlockingRun) {
+  // Park only when the syscall would block: on the real reactor, a guest
+  // whose every read/write/readv/writev/accept/accept4/poll/ppoll finds its
+  // fd ready never parks, and the run is bit-identical to the blocking 1:1
+  // run on every tier. The readiness probe is kernel time, not a syscall.
+  std::vector<Tier> tiers = {
+      {"switch", wasm::DispatchMode::kSwitch, wasm::JitTier::kOff},
+      {"threaded", wasm::DispatchMode::kThreaded, wasm::JitTier::kOff}};
+  if (wasm::JitAvailable()) {
+    tiers.push_back({"jit", wasm::DispatchMode::kThreaded, wasm::JitTier::kOn});
+  }
+  for (const Tier& tier : tiers) {
+    SCOPED_TRACE(tier.name);
+    host::RunReport want = ServeOnce(WrapModule(kReadyIoGuest), nullptr, tier);
+    ASSERT_TRUE(want.completed()) << want.trap_message;
+    EXPECT_EQ(want.exit_code, 42);
+
+    host::IoReactor reactor;
+    host::RunReport got = ServeOnce(WrapModule(kReadyIoGuest), &reactor, tier);
+    ASSERT_TRUE(got.completed()) << got.trap_message;
+    EXPECT_EQ(got.parks, 0u);
+    EXPECT_EQ(got.exit_code, want.exit_code);
+    EXPECT_EQ(got.executed_instrs, want.executed_instrs);
+    EXPECT_EQ(got.fuel_consumed, want.fuel_consumed);
+    EXPECT_EQ(got.total_syscalls, want.total_syscalls);
+    EXPECT_EQ(got.syscall_counts, want.syscall_counts);
+    EXPECT_GT(got.kernel_nanos, 0);
+    EXPECT_GE(got.wali_nanos, 0);
+  }
 }
 
 TEST(HostIo, ParkedRunReleasesLedgerReservation) {
@@ -1248,8 +1609,10 @@ TEST(HostIo, EvictRefusesFdClassParkAndRunFinishes) {
   EvictWorld w = MakeEvictWorld(/*workers=*/1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  PeerPipes pipes;
+  std::future<host::RunReport> fut = w.sup->Submit(PeerJob(*module, pipes.Argv()));
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  pipes.Drain();
   ASSERT_TRUE(w.fake->CompleteReady(w.fake->PendingCookies()[0]));  // write
 
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
@@ -1263,6 +1626,7 @@ TEST(HostIo, EvictRefusesFdClassParkAndRunFinishes) {
   EXPECT_EQ(ev.code(), common::StatusCode::kUnimplemented) << ev.ToString();
   EXPECT_EQ(w.sup->io_stats().evicted_now, 0u);
 
+  pipes.Forward();
   ASSERT_TRUE(w.fake->CompleteReady(pending[0]));  // byte is there
   host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed()) << r.trap_message;

@@ -62,6 +62,7 @@ inline const char* kPrelude = R"(
   (import "wali" "SYS_connect" (func $connect (param i64 i64 i64) (result i64)))
   (import "wali" "SYS_listen" (func $listen (param i64 i64) (result i64)))
   (import "wali" "SYS_accept" (func $accept (param i64 i64 i64) (result i64)))
+  (import "wali" "SYS_accept4" (func $accept4 (param i64 i64 i64 i64) (result i64)))
   (import "wali" "SYS_getsockname" (func $getsockname (param i64 i64 i64) (result i64)))
   (import "wali" "SYS_readv" (func $readv (param i64 i64 i64) (result i64)))
   (import "wali" "SYS_writev" (func $writev (param i64 i64 i64) (result i64)))
