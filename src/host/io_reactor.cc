@@ -99,8 +99,6 @@ void IoReactor::Submit(uint64_t cookie, const wali::IoOp& op) {
   const int64_t now = NowNanos();
   if (op.kind == wali::IoOp::Kind::kSleep) {
     rec.deadline_nanos = now + std::max<int64_t>(op.sleep_nanos, 0);
-  } else if (op.kind == wali::IoOp::Kind::kScripted) {
-    rec.deadline_nanos = now;  // already complete: due on the next turn
   } else if (op.timeout_nanos >= 0) {
     rec.deadline_nanos = now + op.timeout_nanos;
   }
@@ -137,30 +135,16 @@ void IoReactor::Loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [cookie, rec] : ops_) {
-        if (rec.op.kind == wali::IoOp::Kind::kReadable ||
-            rec.op.kind == wali::IoOp::Kind::kWritable) {
-          struct pollfd p;
-          p.fd = rec.op.fd;
-          p.events =
-              rec.op.kind == wali::IoOp::Kind::kReadable ? POLLIN : POLLOUT;
-          p.revents = 0;
-          pfds.push_back(p);
-          pfd_cookies.push_back(cookie);
-        } else if (rec.op.kind == wali::IoOp::Kind::kPollSet) {
-          // One table entry per interest-set member, all mapped back to the
-          // same cookie: the first member with revents completes the op and
-          // erases it, so later members of the same set miss the find below.
-          for (const wali::IoOp::PollFd& m : rec.op.poll_fds) {
-            if (m.fd < 0) {
-              continue;  // poll(2): negative fds are ignored
-            }
-            struct pollfd p;
-            p.fd = m.fd;
-            p.events = m.events;
-            p.revents = 0;
-            pfds.push_back(p);
-            pfd_cookies.push_back(cookie);
+        // One table entry per poll-set member, all mapped back to the same
+        // cookie: the first member with revents completes the op and erases
+        // it, so later members of the same set miss the find below. A
+        // sleep has no members.
+        for (const wali::IoOp::PollFd& m : rec.op.poll_fds) {
+          if (m.fd < 0) {
+            continue;  // poll(2): negative fds are ignored
           }
+          pfds.push_back({m.fd, m.events, 0});
+          pfd_cookies.push_back(cookie);
         }
         if (rec.deadline_nanos >= 0 &&
             (next_deadline < 0 || rec.deadline_nanos < next_deadline)) {

@@ -4,10 +4,10 @@
 // When a guest enters a blocking-capable syscall, the WALI layer parks the
 // run (wasm::TrapKind::kSyscallPending, see src/wali/async.h) and the
 // supervisor registers the operation here instead of letting a worker
-// thread block 1:1 with the guest. The backend watches the readiness class
-// (fd readable/writable, or a timer) and delivers exactly one completion
-// per cookie; the supervisor then re-admits the parked job and materializes
-// the syscall result into the suspended guest frame.
+// thread block 1:1 with the guest. The backend waits out the op (a sleep,
+// or a poll set of fds) and delivers exactly one completion per cookie; the
+// supervisor then re-admits the parked job, asks FinishPark for the syscall
+// result and materializes it into the suspended guest frame.
 //
 // The API is submit/complete in the io_uring style — cookie-keyed ops, a
 // single completion sink, cancellation — so a real io_uring backend can
@@ -70,21 +70,18 @@ struct IoBackendMetrics {
 };
 
 // One completion, delivered exactly once per submitted cookie (unless
-// Cancel wins the race).
+// Cancel wins the race). It says only how the wait ended; the syscall's
+// result comes from WaliRuntime::FinishPark, except for kError, where the
+// op never became ready and `value` is what the guest sees.
 struct IoCompletion {
   enum class Status : uint8_t {
-    kReady = 0,  // the readiness class was satisfied
+    kReady = 0,  // a poll-set member became ready (or hup/err/nval)
     kTimedOut,   // the op's own timeout (or a sleep's duration) elapsed
     kError,      // the backend cannot wait on this op; value = -errno
   };
 
   Status status = Status::kReady;
-  int64_t value = 0;
-  // When true, `value` IS the syscall result and the parked syscall is not
-  // re-dispatched. Real backends leave this false (the re-dispatch issues
-  // the now-ready syscall); fakes use it to script exact results
-  // deterministically.
-  bool has_value = false;
+  int64_t value = 0;  // kError only: -errno
 
   static IoCompletion Ready() { return IoCompletion{}; }
   static IoCompletion TimedOut() {
@@ -92,15 +89,6 @@ struct IoCompletion {
     c.status = Status::kTimedOut;
     return c;
   }
-  static IoCompletion Result(int64_t v) {
-    IoCompletion c;
-    c.value = v;
-    c.has_value = true;
-    return c;
-  }
-  // kError with value = -errno but has_value left false: the supervisor's
-  // materialization order surfaces `value` for kError directly, and leaving
-  // has_value false keeps scripted-result semantics distinct.
   static IoCompletion Error(int64_t v) {
     IoCompletion c;
     c.status = Status::kError;
@@ -205,13 +193,10 @@ class FakeIoBackend : public IoBackend {
   void AdvanceTo(int64_t now_nanos);
   void AdvanceBy(int64_t delta_nanos) { AdvanceTo(NowNanos() + delta_nanos); }
 
-  // Scripts a completion for one pending op (readiness, or an exact result
-  // via IoCompletion::Result). False when the cookie is not pending.
+  // Scripts a completion for one pending op. False when the cookie is not
+  // pending.
   bool Complete(uint64_t cookie, const IoCompletion& completion);
   bool CompleteReady(uint64_t cookie) { return Complete(cookie, IoCompletion::Ready()); }
-  bool CompleteWithResult(uint64_t cookie, int64_t result) {
-    return Complete(cookie, IoCompletion::Result(result));
-  }
 
   // Fires the completion handler for a cookie the backend no longer (or
   // never) tracked — the "completion arrives after the guest was shed"

@@ -391,57 +391,34 @@ struct IoUringBackend::Impl {
     PushSqe(s, to_submit, due);
   }
 
-  // Registers one op's SQEs (or completes it immediately for ring-less
-  // kinds). mu_ held; immediate completions go to `due` for delivery after
-  // unlock.
+  // Arms the standalone IORING_OP_TIMEOUT of a sleep or a timed poll set.
+  // mu_ held.
+  void PushTimer(uint64_t cookie, OpRec* rec, int64_t nanos,
+                 unsigned* to_submit, std::vector<Due>* due) {
+    rec->ts = ToKernelTs(nanos);
+    struct io_uring_sqe s;
+    memset(&s, 0, sizeof(s));
+    s.opcode = IORING_OP_TIMEOUT;
+    s.fd = -1;
+    s.addr = reinterpret_cast<uintptr_t>(&rec->ts);
+    s.len = 1;
+    s.user_data = NewTag(cookie, /*is_timer=*/true, rec);
+    PushSqe(s, to_submit, due);
+  }
+
+  // Registers one op's SQEs (a kNone op fails at once with -EINVAL). mu_
+  // held; immediate completions go to `due` for delivery after unlock.
   void BuildSqes(uint64_t cookie, OpRec* rec, unsigned* to_submit,
                  std::vector<Due>* due) {
     using K = wali::IoOp::Kind;
     rec->submitted = true;
     const wali::IoOp& op = rec->op;
     switch (op.kind) {
-      case K::kScripted:
-        due->push_back({cookie, IoCompletion::Result(op.scripted_result)});
-        ops_.erase(cookie);
+      case K::kSleep:
+        PushTimer(cookie, rec, std::max<int64_t>(op.sleep_nanos, 0), to_submit,
+                  due);
         return;
-      case K::kSleep: {
-        rec->ts = ToKernelTs(std::max<int64_t>(op.sleep_nanos, 0));
-        struct io_uring_sqe s;
-        memset(&s, 0, sizeof(s));
-        s.opcode = IORING_OP_TIMEOUT;
-        s.fd = -1;
-        s.addr = reinterpret_cast<uintptr_t>(&rec->ts);
-        s.len = 1;
-        s.user_data = NewTag(cookie, /*is_timer=*/true, rec);
-        PushSqe(s, to_submit, due);
-        return;
-      }
-      case K::kReadable:
-      case K::kWritable: {
-        struct io_uring_sqe s;
-        memset(&s, 0, sizeof(s));
-        s.opcode = IORING_OP_POLL_ADD;
-        s.fd = op.fd;
-        s.poll_events = op.kind == K::kReadable ? POLLIN : POLLOUT;
-        s.user_data = NewTag(cookie, /*is_timer=*/false, rec);
-        if (op.timeout_nanos >= 0) {
-          s.flags |= IOSQE_IO_LINK;
-          PushSqe(s, to_submit, due);
-          rec->ts = ToKernelTs(op.timeout_nanos);
-          struct io_uring_sqe lt;
-          memset(&lt, 0, sizeof(lt));
-          lt.opcode = IORING_OP_LINK_TIMEOUT;
-          lt.fd = -1;
-          lt.addr = reinterpret_cast<uintptr_t>(&rec->ts);
-          lt.len = 1;
-          lt.user_data = NewTag(cookie, /*is_timer=*/true, rec);
-          PushSqe(lt, to_submit, due);
-        } else {
-          PushSqe(s, to_submit, due);
-        }
-        return;
-      }
-      case K::kPollSet: {
+      case K::kPollSet:
         for (const wali::IoOp::PollFd& m : op.poll_fds) {
           if (m.fd < 0) {
             continue;  // poll(2): negative fds are ignored
@@ -455,20 +432,11 @@ struct IoUringBackend::Impl {
           PushSqe(s, to_submit, due);
         }
         if (op.timeout_nanos >= 0) {
-          // Standalone (not linked): the first poll member to fire cancels
-          // it via TIMEOUT_REMOVE in the CQE path.
-          rec->ts = ToKernelTs(op.timeout_nanos);
-          struct io_uring_sqe s;
-          memset(&s, 0, sizeof(s));
-          s.opcode = IORING_OP_TIMEOUT;
-          s.fd = -1;
-          s.addr = reinterpret_cast<uintptr_t>(&rec->ts);
-          s.len = 1;
-          s.user_data = NewTag(cookie, /*is_timer=*/true, rec);
-          PushSqe(s, to_submit, due);
+          // Standalone, not linked: whichever fires first wins, and the
+          // CQE path cancels the rest (TIMEOUT_REMOVE / ASYNC_CANCEL).
+          PushTimer(cookie, rec, op.timeout_nanos, to_submit, due);
         }
         return;
-      }
       case K::kNone:
       default:
         due->push_back({cookie, IoCompletion::Error(-EINVAL)});
@@ -505,37 +473,10 @@ struct IoUringBackend::Impl {
       tag_map_.erase(tit);  // defensive: should not happen
       return false;
     }
-    if (info.is_timer) {
-      if (res == -ECANCELED) {
-        // The linked/standalone timer was killed because its op completed
-        // (or is being cancelled); not a completion by itself.
-        tag_map_.erase(tit);
-        auto& tags = oit->second->tags;
-        tags.erase(std::remove_if(tags.begin(), tags.end(),
-                                  [tag](const std::pair<uint64_t, bool>& t) {
-                                    return t.first == tag;
-                                  }),
-                   tags.end());
-        if (tags.empty()) {
-          // Nothing left in the kernel can ever complete this op; surface
-          // the cancellation rather than wedging the park forever.
-          out->cookie = info.cookie;
-          out->completion = IoCompletion::Error(-ECANCELED);
-          retired_.push_back(std::move(oit->second));
-          ops_.erase(oit);
-          return true;
-        }
-        return false;
-      }
-      // -ETIME (expiry) or 0: the op's timeout elapsed.
-      out->cookie = info.cookie;
-      out->completion = IoCompletion::TimedOut();
-      RetireOp(oit, tag);
-      return true;
-    }
     if (res == -ECANCELED) {
-      // Poll leg cancelled by its linked timeout; the timer CQE carries the
-      // completion.
+      // One registration was cancelled by someone else (the targets of our
+      // own cancels leave tag_map_ first, so their CQEs returned above);
+      // not a completion by itself.
       tag_map_.erase(tit);
       auto& tags = oit->second->tags;
       tags.erase(std::remove_if(tags.begin(), tags.end(),
@@ -544,6 +485,8 @@ struct IoUringBackend::Impl {
                                 }),
                  tags.end());
       if (tags.empty()) {
+        // Nothing left in the kernel can ever complete this op; surface
+        // the cancellation rather than wedging the park forever.
         out->cookie = info.cookie;
         out->completion = IoCompletion::Error(-ECANCELED);
         retired_.push_back(std::move(oit->second));
@@ -551,6 +494,13 @@ struct IoUringBackend::Impl {
         return true;
       }
       return false;
+    }
+    if (info.is_timer) {
+      // -ETIME (expiry) or 0: the op's timeout elapsed.
+      out->cookie = info.cookie;
+      out->completion = IoCompletion::TimedOut();
+      RetireOp(oit, tag);
+      return true;
     }
     // res >= 0: revents mask — readiness. res < 0 (e.g. -EBADF on a closed
     // fd, the POLLNVAL analogue): also complete kReady, so the

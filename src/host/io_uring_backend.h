@@ -1,9 +1,9 @@
 // IoUringBackend: the io_uring production backend behind the IoBackend seam.
 //
 // Where IoReactor rebuilds a full poll(2) table on every wakeup, this
-// backend registers each parked op with the kernel once — POLL_ADD for fd
-// readiness (with IORING_OP_LINK_TIMEOUT linked for per-op timeouts),
-// IORING_OP_TIMEOUT for sleeps and poll-set deadlines — and then blocks in
+// backend registers each parked op with the kernel once — one POLL_ADD per
+// poll-set member, and a standalone IORING_OP_TIMEOUT for a sleep or a
+// poll set's deadline — and then blocks in
 // a single io_uring_enter per wakeup that both submits the batch of SQEs
 // coalesced since the last wakeup and waits for the next CQE. Cancellation
 // goes through IORING_OP_ASYNC_CANCEL / IORING_OP_TIMEOUT_REMOVE with the

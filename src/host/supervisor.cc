@@ -27,14 +27,10 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
       pool_(runtime, options.pool),
       clock_(options.clock ? options.clock : [] { return common::MonotonicNanos(); }),
       queue_depth_(options.queue_depth),
-      dispatch_(options.dispatch),
-      jit_(options.jit),
       io_(options.io_backend),
       evict_dir_(options.evict_dir),
+      tel_(options.telemetry),
       paused_(options.start_paused) {
-#if defined(HOST_TELEMETRY)
-  tel_ = options.telemetry;
-#endif
   if (tel_ != nullptr) {
     metrics::Registry& reg = tel_->registry();
     c_submitted_ = reg.GetCounter("supervisor_jobs_submitted_total");
@@ -587,12 +583,6 @@ void Supervisor::RunOne(Task& task) {
 
   wasm::ExecOptions opts = runtime_->exec_options();
   opts.profile = tel_ != nullptr;
-  if (dispatch_ != wasm::DispatchMode::kAuto) {
-    opts.dispatch = dispatch_;
-  }
-  if (jit_ != wasm::JitTier::kAuto) {
-    opts.jit = jit_;
-  }
   if (job.fuel != 0) {
     opts.fuel = job.fuel;
   }
@@ -761,8 +751,7 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
   // Shed: the job deadline fired while parked (tagged at park time), or the
   // supervisor clock has passed it regardless of what completed.
   const bool deadline_shed =
-      (st.timeout_is_shed && c.status == IoCompletion::Status::kTimedOut &&
-       !c.has_value) ||
+      (st.timeout_is_shed && c.status == IoCompletion::Status::kTimedOut) ||
       (st.job.deadline_nanos != 0 && clock_() >= st.job.deadline_nanos);
   if (deadline_shed) {
     sheds_while_parked_.fetch_add(1, std::memory_order_relaxed);
@@ -780,17 +769,15 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
     return;
   }
 
-  // Materialize the syscall result: a scripted completion wins outright; a
-  // backend error (kError: it could not wait on this op) surfaces its
-  // -errno WITHOUT re-dispatching — the op never became ready, and
-  // re-issuing the real syscall here would block this worker, exactly what
-  // offload exists to prevent. Otherwise FinishPark answers: a timer's
-  // result travels in the op, and an fd-class syscall re-runs on this
-  // worker, prompt now that its op is ready.
-  const int64_t sys_ret =
-      c.has_value || c.status == IoCompletion::Status::kError
-          ? c.value
-          : runtime_->FinishPark(proc, st.cont);
+  // Materialize the syscall result. A backend error (kError: it could not
+  // wait on this op) surfaces its -errno WITHOUT re-dispatching — the op
+  // never became ready, and re-issuing the real syscall here would block
+  // this worker, exactly what offload exists to prevent. Otherwise
+  // FinishPark answers: a sleep's result travels in the op, and a poll-set
+  // syscall re-runs on this worker, prompt now that its op is ready.
+  const int64_t sys_ret = c.status == IoCompletion::Status::kError
+                              ? c.value
+                              : runtime_->FinishPark(proc, st.cont);
 
   // Re-reserve budget slices for the on-worker continuation — the park
   // released this run's reservation back to the tenant's pool. The fresh

@@ -136,15 +136,6 @@ class Supervisor {
     // to make shedding deterministic. Mid-run CPU budget enforcement always
     // uses the real monotonic clock.
     std::function<int64_t()> clock;
-    // Interpreter dispatch for guest runs. kAuto inherits the runtime's
-    // setting; kSwitch/kThreaded force a loop for A/B comparisons
-    // (fuel accounting is bit-identical either way, so RunReports and
-    // TenantLedger math do not depend on this knob).
-    wasm::DispatchMode dispatch = wasm::DispatchMode::kAuto;
-    // Baseline-JIT tier for guest runs. kAuto inherits the runtime's
-    // setting; kOff/kOn force it per supervisor (like `dispatch`, a pure
-    // performance knob: fuel/ledger math is bit-identical either way).
-    wasm::JitTier jit = wasm::JitTier::kAuto;
     // Async syscall offload. Non-null enables the park-at-the-WALI-boundary
     // path: a guest entering a blocking-capable syscall suspends
     // (kSyscallPending) instead of blocking its worker; the op is
@@ -158,7 +149,6 @@ class Supervisor {
     // pool, and guest runs) into the telemetry subsystem: span events for
     // every job lifecycle stage, process-wide counters/histograms, and
     // interpreter frame-entry profiling. Borrowed; must outlive Shutdown.
-    // Ignored (forced null) when the build has HOST_TELEMETRY off.
     Telemetry* telemetry = nullptr;
     // Where EvictParked writes snapshots ("evict-<cookie>.snap"). Empty
     // (default) keeps the serialized blob in memory — the slab is still
@@ -377,15 +367,13 @@ class Supervisor {
   TenantLedger ledger_;
   std::function<int64_t()> clock_;
   size_t queue_depth_;
-  wasm::DispatchMode dispatch_;
-  wasm::JitTier jit_;
   IoBackend* io_;
   std::string evict_dir_;
   std::atomic<uint64_t> dispatch_seq_{0};
 
   // Telemetry wiring, resolved once at construction (null series handles
   // when tel_ is null; hot paths check tel_ only).
-  Telemetry* tel_ = nullptr;
+  Telemetry* tel_;
   metrics::Counter* c_submitted_ = nullptr;
   metrics::Counter* c_outcome_[kNumOutcomes] = {nullptr};
   metrics::Gauge* g_queue_depth_ = nullptr;

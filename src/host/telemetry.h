@@ -24,10 +24,9 @@
 // (walirun --metrics-dump / --trace-out), and the programmatic
 // TakeSnapshot() the tests and benches assert against.
 //
-// Build gate: the HOST_TELEMETRY CMake option (default ON) compiles the
-// interpreter's frame-entry profiling hooks out entirely and nulls the
-// supervisor's telemetry wiring when OFF; this class itself always
-// compiles, it just never receives events then.
+// Cost: the interpreter's frame-entry profiling hooks are always compiled
+// in and cost one predicted-not-taken branch per call when no telemetry
+// sink is wired (ExecOptions::profile false).
 #ifndef SRC_HOST_TELEMETRY_H_
 #define SRC_HOST_TELEMETRY_H_
 

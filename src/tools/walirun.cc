@@ -651,7 +651,7 @@ int main(int argc, char** argv) {
     reactor->Submit(0, (*proc)->pending_io.op);
     host::IoCompletion c = done.get_future().get();
     reactor->SetCompletionHandler(nullptr);  // drained before `done` dies
-    return c.has_value || c.status == host::IoCompletion::Status::kError
+    return c.status == host::IoCompletion::Status::kError
                ? c.value
                : runtime.FinishPark(**proc, cont);
   };

@@ -1,18 +1,22 @@
 // Async syscall offload seam (the "park at the WALI boundary" path).
 //
 // A blocking-capable syscall handler that can offload does not block its
-// worker thread: it files a PendingIo on the process — a readiness class
-// (IoOp) the host's completion loop can wait on without knowing anything
-// about WALI or guest memory — and the dispatch wrapper records the
-// syscall itself as the thin interface sees it (registry id plus six
-// argument words) and unwinds the interpreter with
-// wasm::TrapKind::kSyscallPending. The host supervisor registers the IoOp
-// with its IoBackend (host::IoReactor, or a deterministic fake in tests),
-// parks the job off-worker, and on completion asks
-// WaliRuntime::FinishPark for the syscall result — timer-class ops carry
-// it in the op, fd-class ops re-dispatch the recorded syscall, now
-// prompt — and materializes it into the suspended guest frame via
-// WaliRuntime::ResumeMain. A park is plain data end to end.
+// worker thread: it files a PendingIo on the process — a wait (IoOp) the
+// host's completion loop can serve without knowing anything about WALI or
+// guest memory — and the dispatch wrapper records the syscall itself as
+// the thin interface sees it (registry id plus six argument words) and
+// unwinds the interpreter with wasm::TrapKind::kSyscallPending. The host
+// supervisor registers the IoOp with its IoBackend (host::IoReactor,
+// host::IoUringBackend, or a deterministic fake in tests), parks the job
+// off-worker, and on completion asks WaliRuntime::FinishPark for the
+// syscall result — a sleep carries it in the op, a poll-set wait
+// re-dispatches the recorded syscall, now prompt — and materializes it
+// into the suspended guest frame via WaliRuntime::ResumeMain. A park is
+// plain data end to end.
+//
+// There are two waits: a sleep, or a poll set. A backend reports only how
+// the wait ended (ready, timed out, or an -errno when it cannot wait at
+// all); FinishPark is the only source of a parked syscall's result.
 //
 // A handler parks only when the syscall would block. A park is a full
 // round trip through the host, and the kernel answers a ready fd at once,
@@ -34,31 +38,24 @@
 
 namespace wali {
 
-// One offloadable blocking operation, as a readiness class. The completion
-// loop only ever needs "this fd is readable/writable" or "this much time
-// elapsed" — the syscall itself is re-dispatched from its recorded number
-// and args once the op is ready, so completion loops never touch guest
-// state.
+// One offloadable blocking operation: a wait, and nothing else. The
+// completion loop only ever needs "this much time elapsed" or "one of these
+// fds has one of these events" — the syscall itself is re-dispatched from
+// its recorded number and args once the op is ready, so completion loops
+// never touch guest state and never produce a syscall result.
 struct IoOp {
+  // Serialized values are fixed (snapshot host blob): 0, 1 and 5.
   enum class Kind : uint8_t {
     kNone = 0,
-    kSleep,     // elapse `sleep_nanos`, then complete with `scripted_result`
-    kReadable,  // wait until `fd` is readable (or error/hup: the
-                // re-dispatched syscall decides)
-    kWritable,  // wait until `fd` is writable
-    // The syscall already completed and `scripted_result` is its answer;
-    // the completion loop resumes with it immediately. The park hook
-    // WaliProcess::park_after_syscalls files these for deterministic
-    // park-anywhere testing (tests/wasm_snapshot_test.cc).
-    kScripted,
+    kSleep = 1,  // elapse `sleep_nanos`; the syscall's answer is `result`
     // Wait until ANY entry of `poll_fds` has readiness matching its events
     // mask (poll(2) semantics: error/hup/nval always count, negative fds
-    // are skipped). This is the multi-fd AND dual-interest (POLLIN|POLLOUT)
-    // op class: the re-dispatched poll runs with timeout 0 to materialize
-    // revents. Ordered after kScripted so serialized kind values never
-    // shift; fd-class parks are never snapshot-eligible, so poll_fds needs
-    // no serialized form.
-    kPollSet,
+    // are skipped). A single-fd read/write/accept/connect wait is a
+    // one-member set; a poll/ppoll parks on its whole set, dual-interest
+    // (POLLIN|POLLOUT) members included. The re-dispatched syscall reads
+    // the kernel's answer; fd-class parks are never snapshot-eligible, so
+    // poll_fds needs no serialized form.
+    kPollSet = 5,
   };
 
   // One member of a kPollSet: the fd and its requested events mask, exactly
@@ -69,51 +66,27 @@ struct IoOp {
   };
 
   Kind kind = Kind::kNone;
-  int fd = -1;              // kReadable / kWritable
   int64_t sleep_nanos = 0;  // kSleep: relative duration
-  // kReadable/kWritable: the op's own timeout (poll(2) semantics), relative;
-  // < 0 means wait forever. On expiry the op completes kTimedOut and the
-  // re-dispatched syscall (e.g. poll with timeout 0) yields the timeout
-  // answer.
+  // kPollSet: the op's own timeout (poll(2) semantics), relative; < 0 means
+  // wait forever. On expiry the op completes kTimedOut and the re-dispatched
+  // syscall (e.g. poll with timeout 0) yields the timeout answer.
   int64_t timeout_nanos = -1;
-  // Timer-class ops: the syscall's result once the op completes (0 for a
-  // sleep, -ETIMEDOUT for the threadless futex timer, anything for kScripted).
-  int64_t scripted_result = 0;
+  // kSleep: the syscall's result once the sleep elapses (0 for nanosleep,
+  // -ETIMEDOUT for the threadless futex timer, the handler's own answer for
+  // the WaliProcess::park_after_syscalls test hook's Sleep(0, ret)).
+  int64_t result = 0;
   std::vector<PollFd> poll_fds;  // kPollSet: the interest set
 
   // Fd-class ops resume by re-dispatching the parked syscall against the
-  // live fd table, so they are not pure data to a snapshot. Timer-class ops
-  // (kSleep, kScripted) complete with `scripted_result`.
-  bool fd_class() const {
-    return kind == Kind::kReadable || kind == Kind::kWritable ||
-           kind == Kind::kPollSet;
-  }
+  // live fd table, so they are not pure data to a snapshot. A sleep
+  // completes with `result`.
+  bool fd_class() const { return kind == Kind::kPollSet; }
 
   static IoOp Sleep(int64_t nanos, int64_t result = 0) {
     IoOp op;
     op.kind = Kind::kSleep;
     op.sleep_nanos = nanos;
-    op.scripted_result = result;
-    return op;
-  }
-  static IoOp Readable(int fd, int64_t timeout_nanos = -1) {
-    IoOp op;
-    op.kind = Kind::kReadable;
-    op.fd = fd;
-    op.timeout_nanos = timeout_nanos;
-    return op;
-  }
-  static IoOp Writable(int fd, int64_t timeout_nanos = -1) {
-    IoOp op;
-    op.kind = Kind::kWritable;
-    op.fd = fd;
-    op.timeout_nanos = timeout_nanos;
-    return op;
-  }
-  static IoOp Scripted(int64_t result) {
-    IoOp op;
-    op.kind = Kind::kScripted;
-    op.scripted_result = result;
+    op.result = result;
     return op;
   }
   static IoOp PollSet(std::vector<PollFd> fds, int64_t timeout_nanos = -1) {

@@ -148,8 +148,8 @@ class WaliProcess {
 
   // Deterministic park hook (snapshot round-trip harness): when nonzero,
   // the syscall dispatch wrapper parks the main run at every Nth dispatch
-  // with the handler's already-computed result as an IoOp::Scripted
-  // completion. Resuming with that result is bit-identical to never having
+  // on IoOp::Sleep(0, result), carrying the handler's already-computed
+  // result. Resuming with that result is bit-identical to never having
   // parked — the handler ran to completion before the park — which lets
   // tests park ANY workload mid-run at a boundary where the interpreter
   // state is in its canonical spilled form. Main-run only (no lock needed,

@@ -9,8 +9,8 @@ namespace {
 // WALI host-blob layout (carried opaquely inside the wasm snapshot; the
 // outer header's version/checksum cover it, so no inner version field):
 //   cont      start_instrs u64, entry_is_main u8
-//   pending   armed u8, kind u8, fd u32, sleep_nanos u64, timeout_nanos u64,
-//             scripted_result u64
+//   pending   armed u8, kind u8, unused u32 (written 0xffffffff, ignored),
+//             sleep_nanos u64, timeout_nanos u64, result u64
 //   fds       count u32, then count i32 host fds
 //   signals   virtual_mask u64, entry count u32, per entry: signo u8,
 //             handler u32, flags u32, mask u64, registered u8
@@ -31,10 +31,10 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
   const PendingIo& pio = proc.pending_io;
   w.U8(pio.armed ? 1 : 0);
   w.U8(static_cast<uint8_t>(pio.op.kind));
-  w.U32(static_cast<uint32_t>(pio.op.fd));
+  w.U32(0xffffffffu);  // v1's single-fd slot; no op kind uses it now
   w.U64(static_cast<uint64_t>(pio.op.sleep_nanos));
   w.U64(static_cast<uint64_t>(pio.op.timeout_nanos));
-  w.U64(static_cast<uint64_t>(pio.op.scripted_result));
+  w.U64(static_cast<uint64_t>(pio.op.result));
 
   std::vector<int> fds = proc.GuestFds();
   w.U32(static_cast<uint32_t>(fds.size()));
@@ -107,26 +107,26 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
 
   uint8_t armed = 0;
   uint8_t kind = 0;
-  uint32_t fd = 0;
+  uint32_t unused_fd = 0;
   uint64_t sleep_nanos = 0;
   uint64_t timeout_nanos = 0;
-  uint64_t scripted_result = 0;
+  uint64_t result = 0;
   RETURN_IF_ERROR(r.U8(&armed));
   RETURN_IF_ERROR(r.U8(&kind));
-  RETURN_IF_ERROR(r.U32(&fd));
+  RETURN_IF_ERROR(r.U32(&unused_fd));
   RETURN_IF_ERROR(r.U64(&sleep_nanos));
   RETURN_IF_ERROR(r.U64(&timeout_nanos));
-  RETURN_IF_ERROR(r.U64(&scripted_result));
-  IoOp op;
-  op.kind = static_cast<IoOp::Kind>(kind);
-  op.fd = static_cast<int>(fd);
-  op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
-  op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
-  op.scripted_result = static_cast<int64_t>(scripted_result);
-  // SnapshotProcess only ever writes timer-class parks.
-  if (kind > static_cast<uint8_t>(IoOp::Kind::kScripted) || op.fd_class()) {
+  RETURN_IF_ERROR(r.U64(&result));
+  // SnapshotProcess only ever writes a sleep (or no park at all).
+  if (kind != static_cast<uint8_t>(IoOp::Kind::kNone) &&
+      kind != static_cast<uint8_t>(IoOp::Kind::kSleep)) {
     return common::InvalidArgument("snapshot: bad pending io kind");
   }
+  IoOp op;
+  op.kind = static_cast<IoOp::Kind>(kind);
+  op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
+  op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
+  op.result = static_cast<int64_t>(result);
 
   uint32_t fd_count = 0;
   RETURN_IF_ERROR(r.U32(&fd_count));

@@ -5,11 +5,11 @@
 // the MainContinuation bookkeeping (deferred-start fuel, entry kind).
 //
 // Eligibility (refused with a Status, never a crash): single-threaded, not
-// inside a signal handler, and parked on a timer-class op (kSleep,
-// kScripted), whose result travels in the op. Fd-class parks (reads,
-// writes, accept, connect, poll) resume by re-dispatching their syscall
-// against the process's live fds, which the v1 format does not carry, so
-// they are refused; the supervisor simply declines to evict those.
+// inside a signal handler, and parked on a sleep, whose result travels in
+// the op. Poll-set parks (reads, writes, accept, connect, poll) resume by
+// re-dispatching their syscall against the process's live fds, which the
+// v1 format does not carry, so they are refused; the supervisor simply
+// declines to evict those.
 #ifndef SRC_WALI_PROCESS_SNAPSHOT_H_
 #define SRC_WALI_PROCESS_SNAPSHOT_H_
 

@@ -161,7 +161,7 @@ bool WaliCtx::ParkIfWouldBlock(int fd, short events) const {
           reinterpret_cast<long>(&zero), 0, 8) != 0) {
     return false;  // ready, hup/err, or no answer: the blocking path decides
   }
-  Park(events == POLLIN ? IoOp::Readable(fd) : IoOp::Writable(fd));
+  Park(IoOp::PollSet({{fd, events}}));
   return true;
 }
 
@@ -503,18 +503,18 @@ void WaliRuntime::RegisterAll() {
               ctx.opts.suspend_to != nullptr && proc->park_after_syscalls != 0 &&
               ++proc->syscalls_since_park >= proc->park_after_syscalls) {
             // Deterministic park hook (snapshot round-trip harness): the
-            // handler already completed, so park with its result as a
-            // scripted completion. Every effect of the dispatch — fd set,
-            // trace count — is applied NOW; resuming with scripted_result
+            // handler already completed, so park on a zero-length sleep
+            // that carries its result. Every effect of the dispatch — fd
+            // set, trace count — is applied NOW; resuming with that result
             // is bit-identical to never having parked.
             proc->syscalls_since_park = 0;
             ApplyFdEffect(*proc, id, a, ret);
             proc->trace.Count(static_cast<uint32_t>(id));
             pio.armed = true;
-            pio.op = IoOp::Scripted(ret);
+            pio.op = IoOp::Sleep(0, ret);
             pio.syscall_id = static_cast<int>(id);
             ctx.SetTrap(wasm::TrapKind::kSyscallPending,
-                        "syscall parked (scripted completion)");
+                        "syscall parked (park_after_syscalls hook)");
             return ctx.trap;
           }
           ApplyFdEffect(*proc, id, a, ret);
@@ -791,7 +791,7 @@ wasm::RunResult WaliRuntime::ResumeMain(WaliProcess& process,
 int64_t WaliRuntime::FinishPark(WaliProcess& process, MainContinuation& cont) {
   const PendingIo& pio = process.pending_io;
   if (!pio.op.fd_class()) {
-    return pio.op.scripted_result;
+    return pio.op.result;
   }
   const size_t id = static_cast<size_t>(pio.syscall_id);
   // pio stays armed across the call, so CanOffload() is false and the

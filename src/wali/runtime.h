@@ -75,10 +75,10 @@ struct WaliCtx {
   }
   // The gate of every single-fd park site (read, write, readv, writev,
   // accept, accept4; poll/ppoll probe their set the same way, and connect's
-  // non-blocking attempt is its own probe): parks on `fd` becoming ready for
-  // `events` (POLLIN or POLLOUT) and returns true only when the op would
-  // block — CanOffloadFd(fd), and a zero-timeout poll(2) on the fd finds
-  // `events` not ready. Otherwise returns false and the handler runs its
+  // non-blocking attempt is its own probe): parks on the one-member poll
+  // set {fd, events} (events POLLIN or POLLOUT) and returns true only when
+  // the op would block — CanOffloadFd(fd), and a zero-timeout poll(2) on
+  // that same pollfd finds `events` not ready. Otherwise returns false and the handler runs its
   // blocking path, which the kernel answers at once (HUP and ERR count as
   // ready): the same code a resumed park runs, so only the park is saved.
   // The probe goes through Raw, so it is kernel time inside the WALI span
@@ -179,8 +179,8 @@ class WaliRuntime {
   wasm::RunResult ResumeMain(WaliProcess& process, MainContinuation& cont,
                              int64_t syscall_result);
   // Turns a parked run's completed op into the syscall's result, to pass to
-  // ResumeMain. Timer-class ops (kSleep, kScripted) carry it in
-  // IoOp::scripted_result. Fd-class ops re-run the recorded syscall on the
+  // ResumeMain. It is the only source of that result: a backend reports
+  // only how the wait ended. A sleep carries the result in IoOp::result. A poll-set wait re-runs the recorded syscall on the
   // suspended context, where CanOffload() is false, so the handler takes
   // its ordinary blocking path — prompt now that the op is ready. The
   // re-dispatch is timed and fd-tracked like any dispatch but not counted

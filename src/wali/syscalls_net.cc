@@ -106,7 +106,7 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
       int64_t r = c.Raw(SYS_connect, fd, reinterpret_cast<long>(addr), a[2]);
       (void)c.Raw(SYS_fcntl, fd, F_SETFL, flags);
       if (r == -EINPROGRESS) {
-        c.Park(IoOp::Writable(fd));
+        c.Park(IoOp::PollSet({{fd, POLLOUT}}));
         return 0;
       }
       if (r != -EAGAIN) {

@@ -141,7 +141,6 @@ inline uint64_t AluI64(Op op, uint64_t ra, uint64_t rb) {
   }
 }
 
-#if defined(HOST_TELEMETRY)
 // Frame-entry profiling hook (ExecOptions::profile): bumps the callee's
 // entry count and attributes the fuel burned since the last frame entry to
 // the function that was executing. `executed_now` must be the caller's
@@ -175,7 +174,6 @@ inline void ProfileFrameEntry(ExecContext& ctx, const FuncRef& ref,
   ctx.profile_pending_fuel = 0;
   ctx.profile_mark = executed_now;
 }
-#endif
 
 // Pushes a new wasm frame; arguments must already be on the stack.
 // The frame binds the execution stream: the prepared (fused, block-metadata)
@@ -214,11 +212,9 @@ bool PushFrame(ExecContext& ctx, const FuncRef& ref) {
   fr.stack_base = static_cast<uint32_t>(ctx.stack.size());
   fr.mem = ref.owner->memory(0).get();
   ctx.frames.push_back(fr);
-#if defined(HOST_TELEMETRY)
   if (__builtin_expect(ctx.opts.profile, 0)) {
     ProfileFrameEntry(ctx, ref, ctx.executed);
   }
-#endif
   return true;
 }
 
@@ -369,7 +365,6 @@ namespace {
 // Marshals a finished (non-suspended) context into a RunResult. Result
 // values are read from the operand-stack top when the run completed.
 RunResult HarvestResult(ExecContext& ctx, const FuncType* type, TrapKind t) {
-#if defined(HOST_TELEMETRY)
   // Flush the open profile attribution window so per-function entries and
   // fuel sum to the run's true totals for a finished run.
   if (ctx.profile_slot != nullptr) {
@@ -383,7 +378,6 @@ RunResult HarvestResult(ExecContext& ctx, const FuncType* type, TrapKind t) {
     ctx.profile_pending_fuel = 0;
     ctx.profile_mark = ctx.executed;
   }
-#endif
   RunResult result;
   result.trap = t;
   result.trap_message = ctx.trap_msg;

@@ -5,7 +5,8 @@
 // on kernels/builds without io_uring).
 //
 // The contract under test:
-//   - sleeps and op timeouts complete kTimedOut, in deadline order;
+//   - sleeps (zero-length ones included) and op timeouts complete
+//     kTimedOut, in deadline order;
 //   - fd error states (POLLERR/POLLHUP/POLLNVAL and their ring analogues)
 //     complete kReady with no value — the RETRY surfaces the kernel's own
 //     answer (EOF, EPIPE, EBADF, ...), the backend never invents one;
@@ -138,14 +139,21 @@ using Drivers =
 TYPED_TEST_SUITE(BackendConformance, Drivers);
 
 TYPED_TEST(BackendConformance, SleepCompletesTimedOut) {
+  // A zero-length sleep (the park_after_syscalls hook's Sleep(0, result))
+  // has no fd to wait on and must complete promptly, not wait forever. The
+  // result it carries stays in the op: the completion says only how the
+  // wait ended.
   this->backend_->Submit(1, wali::IoOp::Sleep(5 * kMs));
+  this->backend_->Submit(2, wali::IoOp::Sleep(0, /*result=*/-5));
   TypeParam::Settle(this->backend_.get(), 5 * kMs);
-  ASSERT_TRUE(this->cap_.WaitFor(1));
-  EXPECT_EQ(this->cap_.got[0].first, 1u);
-  EXPECT_EQ(this->cap_.got[0].second.status,
-            host::IoCompletion::Status::kTimedOut);
-  EXPECT_FALSE(this->cap_.got[0].second.has_value)
-      << "timeouts carry no scripted value; the re-dispatch decides the result";
+  ASSERT_TRUE(this->cap_.WaitFor(2));
+  for (uint64_t cookie : {1u, 2u}) {
+    EXPECT_EQ(this->cap_.CountFor(cookie), 1u) << cookie;
+  }
+  for (const auto& [cookie, c] : this->cap_.got) {
+    EXPECT_EQ(c.status, host::IoCompletion::Status::kTimedOut) << cookie;
+    EXPECT_EQ(c.value, 0) << cookie << ": only kError carries a value";
+  }
   EXPECT_EQ(this->backend_->pending(), 0u);
 }
 
@@ -162,7 +170,7 @@ TYPED_TEST(BackendConformance, ReadTimeoutCompletesTimedOut) {
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   // Empty pipe, never written: only the op's own timeout can fire.
-  this->backend_->Submit(7, wali::IoOp::Readable(fds[0], 10 * kMs));
+  this->backend_->Submit(7, wali::IoOp::PollSet({{fds[0], POLLIN}}, 10 * kMs));
   TypeParam::Settle(this->backend_.get(), 10 * kMs);
   ASSERT_TRUE(this->cap_.WaitFor(1));
   EXPECT_EQ(this->cap_.got[0].second.status,
@@ -175,13 +183,13 @@ TYPED_TEST(BackendConformance, HangupCompletesReadyAndRetrySeesKernelTruth) {
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   close(fds[1]);  // reader watches a pipe whose write end is gone: POLLHUP
-  this->backend_->Submit(3, wali::IoOp::Readable(fds[0]));
+  this->backend_->Submit(3, wali::IoOp::PollSet({{fds[0], POLLIN}}));
   TypeParam::ScriptReady(this->backend_.get(), 3);
   ASSERT_TRUE(this->cap_.WaitFor(1));
   EXPECT_EQ(this->cap_.got[0].second.status,
             host::IoCompletion::Status::kReady)
       << "error states complete kReady; they never invent a result";
-  EXPECT_FALSE(this->cap_.got[0].second.has_value);
+  EXPECT_EQ(this->cap_.got[0].second.value, 0);
   // The re-dispatched syscall is where the kernel's answer surfaces.
   char byte;
   EXPECT_EQ(read(fds[0], &byte, 1), 0) << "EOF is the kernel truth here";
@@ -193,7 +201,7 @@ TYPED_TEST(BackendConformance, ClosedFdCompletesReadyNotStuck) {
   ASSERT_EQ(pipe(fds), 0);
   close(fds[1]);
   close(fds[0]);  // the fd is dead before submit: POLLNVAL / -EBADF class
-  this->backend_->Submit(4, wali::IoOp::Readable(fds[0]));
+  this->backend_->Submit(4, wali::IoOp::PollSet({{fds[0], POLLIN}}));
   TypeParam::ScriptReady(this->backend_.get(), 4);
   ASSERT_TRUE(this->cap_.WaitFor(1))
       << "a dead fd must complete promptly, never park forever";

@@ -95,8 +95,8 @@ const char* kArgFdFunc = R"(
 )";
 
 // Pipe round trip through the test: write one byte into argv[1] (a full
-// pipe, so it parks Writable until the test drains it), read it back from
-// argv[2] (an empty pipe, so it parks Readable until the test forwards the
+// pipe, so it parks on POLLOUT until the test drains it), read it back from
+// argv[2] (an empty pipe, so it parks on POLLIN until the test forwards the
 // byte), exit with the byte.
 const std::string kPipeGuest = std::string(kArgFdFunc) + R"(
   (memory 2)
@@ -229,7 +229,7 @@ const std::string kVectoredPipeGuest = std::string(kArgFdFunc) + R"(
 
 // TCP loopback connect: bind+listen on 127.0.0.1:0, learn the port via
 // getsockname, then connect a second socket to it. Nonblocking TCP connect
-// always answers -EINPROGRESS, so the connect parks (Writable) and the
+// always answers -EINPROGRESS, so the connect parks (on POLLOUT) and the
 // resumed call reads the outcome from SO_ERROR.
 const char* kConnectGuest = R"(
   (memory 2)
@@ -266,7 +266,7 @@ const char* kConnectGuest = R"(
 // 64 round trips of 64 bytes with a peer over the socket in argv[1]. The
 // peer (PingPongPeer) keeps the socket's send buffer full until each write
 // has parked, and answers each read only after it has parked: every write
-// parks (Writable) and every read parks (Readable), 128 parks in all.
+// parks (on POLLOUT) and every read parks (on POLLIN), 128 parks in all.
 // Exits 0.
 const std::string kPingPongGuest = std::string(kArgFdFunc) + R"(
   (memory 2)
@@ -477,12 +477,13 @@ IoWorld MakeIoWorld(size_t workers, bool with_backend = true,
                     wasm::DispatchMode dispatch = wasm::DispatchMode::kAuto) {
   IoWorld w;
   w.linker = std::make_unique<wasm::Linker>();
-  w.runtime = std::make_unique<wali::WaliRuntime>(w.linker.get());
+  wali::WaliRuntime::Options ropts;
+  ropts.dispatch = dispatch;
+  w.runtime = std::make_unique<wali::WaliRuntime>(w.linker.get(), ropts);
   w.cache = std::make_unique<host::ModuleCache>();
   host::Supervisor::Options opts;
   opts.workers = workers;
   opts.clock = w.clock.fn();
-  opts.dispatch = dispatch;
   opts.pool.max_idle_per_module = workers;
   if (with_backend) {
     opts.io_backend = w.fake.get();
@@ -597,6 +598,17 @@ host::GuestJob PeerJob(std::shared_ptr<const wasm::Module> module,
   return job;
 }
 
+// A single-fd wait (read, write, accept, connect) parks as a one-member
+// poll set. Checks the kind, the size and the events mask, and returns the
+// member's fd (-1 when the op is not a one-member set).
+int OnePollFd(const wali::IoOp& op, short events) {
+  EXPECT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
+  EXPECT_EQ(op.poll_fds.size(), 1u);
+  if (op.poll_fds.size() != 1) return -1;
+  EXPECT_EQ(op.poll_fds[0].events, events);
+  return op.poll_fds[0].fd;
+}
+
 TEST(HostIo, ParkedSleepReleasesWorkerAndResumes) {
   IoWorld w = MakeIoWorld(/*workers=*/1);
   auto sleeper = w.cache->Load(WrapModule(kSleeperGuest));
@@ -707,8 +719,8 @@ TEST(HostIo, SuspendedRunBitIdenticalToBlockingRun) {
 }
 
 TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
-  // Write parks (Writable) on a full pipe, read parks (Readable) on an
-  // empty one; the test drives the completion ORDER and the re-dispatches
+  // Write parks on {out, POLLOUT} of a full pipe, read parks on
+  // {in, POLLIN} of an empty one; the test drives the completion ORDER and the re-dispatches
   // perform the real, now-ready syscalls.
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
@@ -721,14 +733,14 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
   ASSERT_EQ(cookies.size(), 1u);
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+  EXPECT_EQ(OnePollFd(op, POLLOUT), pipes.out[1]);
   pipes.Drain();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: re-dispatched write
 
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+  EXPECT_EQ(OnePollFd(op, POLLIN), pipes.in[0]);
   pipes.Forward();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: re-dispatched read
 
@@ -738,10 +750,11 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
   EXPECT_EQ(r.parks, 2u);
 }
 
-TEST(HostIo, ScriptedResultOverridesRetry) {
-  // A completion carrying a value IS the syscall result — the re-dispatch
-  // is skipped. This is how tests inject exact kernel answers (here: EBADF
-  // for an fd that "closed while the op was in flight").
+TEST(HostIo, ResumedReadTakesTheKernelsAnswer) {
+  // A completion says only that the wait ended; the kernel answers the
+  // re-dispatched syscall. Here the peer closes its end while the read is
+  // parked, so the resumed read sees EOF: read() != 1, and the guest exits
+  // 255.
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
   ASSERT_TRUE(module.ok());
@@ -754,12 +767,13 @@ TEST(HostIo, ScriptedResultOverridesRetry) {
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // write proceeds
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
-  // Script the read's answer: -EBADF (fd closed mid-flight). Guest sees
-  // read() != 1 and exits 255.
-  ASSERT_TRUE(w.fake->CompleteWithResult(cookies[0], -9));
+  ::close(pipes.in[1]);
+  pipes.in[1] = -1;
+  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));
   host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed());
+  EXPECT_TRUE(r.completed()) << r.trap_message;
   EXPECT_EQ(r.exit_code, 255);
+  EXPECT_EQ(r.parks, 2u);
 }
 
 TEST(HostIo, PpollSleeperParksInsteadOfPinningWorker) {
@@ -851,8 +865,9 @@ TEST(HostIo, FutexWaitParksAsTimer) {
 }
 
 TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
-  // readv/writev ride the same readiness classes as read/write; the resumed
-  // call re-translates the guest iovec array against live memory at resume time.
+  // readv/writev park on the same one-member poll sets as read/write; the
+  // resumed call re-translates the guest iovec array against live memory
+  // at resume time.
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kVectoredPipeGuest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
@@ -863,14 +878,14 @@ TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+  EXPECT_EQ(OnePollFd(op, POLLOUT), pipes.out[1]);
   pipes.Drain();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space
 
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+  EXPECT_EQ(OnePollFd(op, POLLIN), pipes.in[0]);
   pipes.Forward();
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // both bytes are there
 
@@ -894,7 +909,7 @@ TEST(HostIo, ConnectParksUntilEstablished) {
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+  EXPECT_GE(OnePollFd(op, POLLOUT), 0);
   // Loopback handshakes complete in the kernel without our help; SO_ERROR
   // is 0 by the time the resumed connect reads it.
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));
@@ -1009,7 +1024,7 @@ TEST(HostIo, DeadlineShedsParkedGuestAndOrphanCompletionIsAbsorbed) {
 
   // Fault injection: the op's "real" completion arrives AFTER the guest
   // was shed. The supervisor absorbs it as an orphan.
-  w.fake->ForceComplete(cookies[0], host::IoCompletion::Result(0));
+  w.fake->ForceComplete(cookies[0], host::IoCompletion::Ready());
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(w.sup->io_stats().orphan_completions, 1u);
   EXPECT_EQ(w.sup->parked(), 0u);
@@ -1137,14 +1152,14 @@ host::RunReport ServeOnce(const std::string& wat, host::IoBackend* backend,
                           const Tier& tier) {
   wasm::Linker linker;
   wali::WaliRuntime::Options ropts;
+  ropts.dispatch = tier.dispatch;
+  ropts.jit = tier.jit;
   ropts.jit_threshold = 0;
   wali::WaliRuntime runtime(&linker, ropts);
   host::ModuleCache cache;
   host::Supervisor::Options opts;
   opts.workers = 1;
   opts.io_backend = backend;
-  opts.dispatch = tier.dispatch;
-  opts.jit = tier.jit;
   host::Supervisor sup(&runtime, opts);
   auto module = cache.Load(wat);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
@@ -1234,7 +1249,7 @@ const char* kFlipNonBlockGuest = R"(
     (local $rfd i64) (local $r i64)
     (drop (call $pipe2 (i64.const 256) (i64.const 0)))
     (local.set $rfd (i64.load32_s (i32.const 256)))
-    ;; blocking + async-io => this read parks (completion scripts 0)
+    ;; blocking + async-io => this read parks (the test resumes it with 0)
     (local.set $r (call $read (local.get $rfd) (i64.const 1024) (i64.const 1)))
     (if (i64.ne (local.get $r) (i64.const 0))
       (then (return (i32.const 1))))
@@ -1260,7 +1275,7 @@ TEST(HostIo, SetflInvalidatesOffloadabilityCache) {
   // First read: classified offloadable (and cached) -> parks.
   ASSERT_EQ(r.trap, wasm::TrapKind::kSyscallPending) << r.trap_message;
   ASSERT_TRUE(cont.armed());
-  EXPECT_EQ((*proc)->pending_io.op.kind, wali::IoOp::Kind::kReadable);
+  EXPECT_GE(OnePollFd((*proc)->pending_io.op, POLLIN), 0);
 
   // Resume with "read returned 0". The guest then flips O_NONBLOCK and
   // reads again: that read must NOT park — a second kSyscallPending here
@@ -1619,7 +1634,7 @@ TEST(HostIo, EvictRefusesFdClassParkAndRunFinishes) {
   std::vector<uint64_t> pending = w.fake->PendingCookies();
   wali::IoOp op;
   ASSERT_TRUE(w.fake->LookupOp(pending[0], &op));
-  ASSERT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+  ASSERT_EQ(OnePollFd(op, POLLIN), pipes.in[0]);
   std::vector<uint64_t> cookies = w.sup->parked_cookies();
   ASSERT_EQ(cookies.size(), 1u);
   common::Status ev = w.sup->EvictParked(cookies[0]);
@@ -1680,6 +1695,55 @@ TEST(HostIo, ShutdownClosesEvictedRunFds) {
   w.sup->Shutdown();
   EXPECT_EQ(fut.get().outcome, host::Outcome::kShed);
   EXPECT_EQ(CountOpenFds(), before);
+}
+
+TEST(HostIo, EvictedRunWithLostSnapshotFailsAsHostError) {
+  // The restore path's failure branch: the evicted run's snapshot file is
+  // gone by the time its op completes. The run resolves as a host error,
+  // the ledger adds one run and one host error to what the park settled
+  // (nothing is billed twice), and the fds the eviction kept open are
+  // closed.
+  std::string dir = testing::TempDir() + "wali_evict_lost_test";
+  ::mkdir(dir.c_str(), 0700);
+  EvictWorld w = MakeEvictWorld(/*workers=*/1, dir);
+  auto module = w.cache->Load(WrapModule(kPipeAcrossSleepGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  const size_t before = CountOpenFds();
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
+  EXPECT_EQ(CountOpenFds(), before + 2) << "the pipe stays open while evicted";
+  const host::TenantUsage at_park = w.sup->ledger().usage("t");
+  std::string path = dir + "/evict-" + std::to_string(cookies[0]) + ".snap";
+  ASSERT_EQ(::unlink(path.c_str()), 0);
+
+  w.fake->AdvanceBy(50 * kMs);
+  host::RunReport r = fut.get();
+  EXPECT_EQ(r.outcome, host::Outcome::kTrapped);
+  EXPECT_EQ(r.trap, wasm::TrapKind::kHostError);
+  EXPECT_NE(r.trap_message.find("restore: cannot read"), std::string::npos)
+      << r.trap_message;
+
+  host::TenantUsage u = w.sup->ledger().usage("t");
+  EXPECT_EQ(u.runs, at_park.runs + 1);
+  EXPECT_EQ(u.host_errors, at_park.host_errors + 1);
+  EXPECT_EQ(u.fuel, at_park.fuel) << "the park already settled the fuel";
+  EXPECT_EQ(u.fuel, r.fuel_consumed);
+  EXPECT_EQ(u.syscalls, at_park.syscalls);
+  EXPECT_EQ(u.cpu_nanos, at_park.cpu_nanos);
+  EXPECT_EQ(CountOpenFds(), before) << "the evicted run's fds are closed";
+  host::Supervisor::IoStats s = w.sup->io_stats();
+  EXPECT_EQ(s.evicted_now, 0u);
+  EXPECT_EQ(s.restores_total, 0u);
+  EXPECT_EQ(s.parked_now, 0u);
+  for (const auto& [name, value] : w.tel->TakeSnapshot().registry.gauges) {
+    if (name == "supervisor_evicted_now") {
+      EXPECT_EQ(value, 0) << name;
+    }
+  }
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // supervisor run where real sleeps park off-worker.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -56,25 +57,13 @@ TEST(IoReactor, SleepCompletesAfterDuration) {
   EXPECT_EQ(reactor.pending(), 0u);
 }
 
-TEST(IoReactor, ScriptedOpCompletesImmediately) {
-  // A scripted op already has its answer (in the op), so it must complete
-  // on the next loop turn instead of waiting forever on no fd.
-  host::IoReactor reactor;
-  Collector c;
-  reactor.SetCompletionHandler(c.fn());
-  reactor.Submit(3, wali::IoOp::Scripted(-5));
-  ASSERT_TRUE(c.WaitFor(1));
-  EXPECT_EQ(c.got[0].first, 3u);
-  EXPECT_EQ(reactor.pending(), 0u);
-}
-
 TEST(IoReactor, PipeBecomesReadable) {
   host::IoReactor reactor;
   Collector c;
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(7, wali::IoOp::Readable(fds[0]));
+  reactor.Submit(7, wali::IoOp::PollSet({{fds[0], POLLIN}}));
   // Nothing yet: the op must not complete on an empty pipe.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(reactor.pending(), 1u);
@@ -92,7 +81,7 @@ TEST(IoReactor, WritableCompletesImmediatelyOnEmptyPipe) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(9, wali::IoOp::Writable(fds[1]));
+  reactor.Submit(9, wali::IoOp::PollSet({{fds[1], POLLOUT}}));
   ASSERT_TRUE(c.WaitFor(1));
   EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kReady);
   ::close(fds[0]);
@@ -105,7 +94,8 @@ TEST(IoReactor, ReadTimeoutFires) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(3, wali::IoOp::Readable(fds[0], /*timeout_nanos=*/5 * kMs));
+  reactor.Submit(3, wali::IoOp::PollSet({{fds[0], POLLIN}},
+                                       /*timeout_nanos=*/5 * kMs));
   ASSERT_TRUE(c.WaitFor(1));
   EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kTimedOut);
   ::close(fds[0]);
@@ -133,7 +123,7 @@ TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(5, wali::IoOp::Readable(fds[0]));
+  reactor.Submit(5, wali::IoOp::PollSet({{fds[0], POLLIN}}));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ::close(fds[1]);
   ASSERT_TRUE(c.WaitFor(1));

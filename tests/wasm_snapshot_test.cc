@@ -15,7 +15,7 @@
 // over-read — run under ASan in CI), the golden format-stability pin
 // (accidental layout drift without a kSnapshotVersion bump fails), and the
 // process-level differential over the workload suite using the
-// WaliProcess::park_after_syscalls scripted-park hook.
+// WaliProcess::park_after_syscalls park hook.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -763,7 +763,7 @@ TEST(WasmSnapshotGolden, GoldenBytesRestoreAndResume) {
 
 // Process-level round trip over the full workload suite: every non-threaded
 // WAT workload runs under a real WALI runtime, is parked at every Nth
-// syscall boundary by the scripted-park hook, snapshotted with
+// syscall boundary by the park_after_syscalls hook, snapshotted with
 // wali::SnapshotProcess (fd table, signal dispositions, ledger counters and
 // all), restored into a COMPLETELY FRESH process, and resumed there via
 // ResumeMain. The final result must be bit-identical to the uninterrupted
@@ -818,9 +818,9 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
           if (cur.pending_io.op.fd_class()) {
             // An fd-class park is not snapshotable by design — but once
             // completed, its answer is pure data: convert the park to a
-            // scripted completion and snapshot THERE. (The re-dispatch
-            // applied its fd effects, so they land in the blob.)
-            cur.pending_io.op = wali::IoOp::Scripted(result);
+            // zero-length sleep carrying it and snapshot THERE. (The
+            // re-dispatch applied its fd effects, so they land in the blob.)
+            cur.pending_io.op = wali::IoOp::Sleep(0, result);
           }
 
           auto snap = wali::SnapshotProcess(cur, cont);
@@ -878,8 +878,9 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
   EXPECT_GE(covered, 3) << "workload suite unexpectedly small";
 }
 
-// The scripted-park hook itself must be transparent even without snapshots:
-// park every syscall, resume immediately with the scripted result.
+// The park_after_syscalls hook itself must be transparent even without
+// snapshots: park every syscall, resume at once with the result its
+// Sleep(0, result) carries.
 TEST(WasmSnapshotWorkloads, ScriptedParkHookIsTransparent) {
   const workloads::Workload* w = workloads::FindWorkload("bash");
   if (w == nullptr || w->wat.empty()) GTEST_SKIP() << "bash analog not present";
