@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -223,53 +224,82 @@ struct ModeResult {
   std::string error;
 };
 
-// `jit` defaults to kOff so every interpreter column measures the
-// interpreter — kAuto would silently hand the threaded column to the JIT.
-// The jit column passes kOn with threshold 0: the warmup rep tiers up
-// every function, so timed reps run compiled code throughout.
-ModeResult RunKernel(const Kernel& k, wasm::DispatchMode mode, bool fuse,
-                     int reps, bool profile = false,
-                     wasm::JitTier jit = wasm::JitTier::kOff) {
-  ModeResult out;
-  auto parsed = wasm::ParseAndValidateWat(k.wat);
-  if (!parsed.ok()) {
-    out.error = parsed.status().ToString();
-    return out;
+// One kernel parsed, prepared and instantiated once; each Rep() times one
+// call of its `run` export. The first rep is the warmup: it records the
+// result and instruction count and is not timed. `jit` kOff makes an
+// interpreter column measure the interpreter — kAuto would silently hand
+// the threaded column to the JIT. The jit column passes kOn with
+// threshold 0: the warmup rep tiers up every function, so timed reps run
+// compiled code throughout.
+class TimedKernel {
+ public:
+  TimedKernel(const Kernel& k, wasm::DispatchMode mode, bool fuse,
+              bool profile, wasm::JitTier jit) {
+    opts_.dispatch = mode;
+    opts_.profile = profile;
+    opts_.jit = jit;
+    opts_.jit_threshold = 0;
+    args_ = {wasm::Value::I32(k.arg)};
+    out_.best_ns = INT64_MAX;
+    auto parsed = wasm::ParseAndValidateWat(k.wat);
+    if (!parsed.ok()) {
+      out_.error = parsed.status().ToString();
+      return;
+    }
+    if (!fuse) {
+      wasm::PrepareOptions popts;
+      popts.fuse = false;
+      wasm::PrepareModule(**parsed, popts);
+    }
+    auto inst = linker_.Instantiate(*parsed);
+    if (!inst.ok()) {
+      out_.error = inst.status().ToString();
+      return;
+    }
+    inst_ = std::move(*inst);
   }
-  if (!fuse) {
-    wasm::PrepareOptions popts;
-    popts.fuse = false;
-    wasm::PrepareModule(**parsed, popts);
-  }
-  wasm::Linker linker;
-  auto inst = linker.Instantiate(*parsed);
-  if (!inst.ok()) {
-    out.error = inst.status().ToString();
-    return out;
-  }
-  wasm::ExecOptions opts;
-  opts.dispatch = mode;
-  opts.profile = profile;
-  opts.jit = jit;
-  opts.jit_threshold = 0;
-  std::vector<wasm::Value> args = {wasm::Value::I32(k.arg)};
-  out.best_ns = INT64_MAX;
-  for (int r = 0; r < reps + 1; ++r) {  // first rep is warmup
+
+  // Runs one rep; false once the kernel failed (result().error says why).
+  bool Rep() {
+    if (!out_.error.empty()) return false;
     int64_t t0 = common::MonotonicNanos();
-    wasm::RunResult res = (*inst)->CallExport("run", args, opts);
+    wasm::RunResult res = inst_->CallExport("run", args_, opts_);
     int64_t dt = common::MonotonicNanos() - t0;
     if (!res.ok()) {
-      out.error = std::string(wasm::TrapKindName(res.trap)) + " " + res.trap_message;
-      return out;
+      out_.error = std::string(wasm::TrapKindName(res.trap)) + " " + res.trap_message;
+      return false;
     }
-    if (r == 0) {
-      out.instrs = res.executed_instrs;
-      out.bits = res.values.empty() ? 0 : res.values[0].bits;
+    if (reps_++ == 0) {
+      out_.instrs = res.executed_instrs;
+      out_.bits = res.values.empty() ? 0 : res.values[0].bits;
+    } else if (dt < out_.best_ns) {
+      out_.best_ns = dt;
     }
-    if (r > 0 && dt < out.best_ns) out.best_ns = dt;
+    return true;
   }
-  out.ok = true;
-  return out;
+
+  // Best timed rep so far; ok once a rep past the warmup ran cleanly.
+  ModeResult result() const {
+    ModeResult r = out_;
+    r.ok = r.error.empty() && reps_ > 1;
+    return r;
+  }
+
+ private:
+  wasm::Linker linker_;
+  std::unique_ptr<wasm::Instance> inst_;
+  wasm::ExecOptions opts_;
+  std::vector<wasm::Value> args_;
+  ModeResult out_;
+  int reps_ = 0;
+};
+
+ModeResult RunKernel(const Kernel& k, wasm::DispatchMode mode, bool fuse,
+                     int reps, wasm::JitTier jit = wasm::JitTier::kOff) {
+  TimedKernel t(k, mode, fuse, /*profile=*/false, jit);
+  for (int r = 0; r < reps + 1 && t.Rep(); ++r) {
+  }
+  return t.result();
 }
 
 ModeResult RunLuaWorkload(wasm::DispatchMode mode, bool fuse, int scale,
@@ -357,7 +387,7 @@ int main(int argc, char** argv) {
     row.swf = RunKernel(k, wasm::DispatchMode::kSwitch, /*fuse=*/true, reps);
     row.th = RunKernel(k, wasm::DispatchMode::kThreaded, /*fuse=*/true, reps);
     row.jit = RunKernel(k, wasm::DispatchMode::kThreaded, /*fuse=*/true, reps,
-                        /*profile=*/false, wasm::JitTier::kOn);
+                        wasm::JitTier::kOn);
     rows.push_back(row);
   }
   {
@@ -443,19 +473,27 @@ int main(int argc, char** argv) {
   // Telemetry-overhead A/B inside this binary: the same full pipeline with
   // ExecOptions::profile off vs on (frame-entry counters + fuel
   // attribution). Informational: it bounds the per-run cost of the
-  // profiling hooks, which are always compiled in.
+  // profiling hooks, which are always compiled in. The two sides run on
+  // their own instances with their reps interleaved (and the order flipped
+  // every rep), so drift across the run lands on both sides instead of
+  // biasing the ratio.
   {
     std::printf("\n%-14s %12s %12s %9s  (telemetry profiling overhead)\n",
                 "kernel", "profile-off", "profile-on", "ratio");
     double tlog_sum = 0;
     int tcounted = 0;
     for (const Kernel& k : kernels) {
-      ModeResult off =
-          RunKernel(k, wasm::DispatchMode::kThreaded, /*fuse=*/true, reps,
-                    /*profile=*/false);
-      ModeResult on =
-          RunKernel(k, wasm::DispatchMode::kThreaded, /*fuse=*/true, reps,
-                    /*profile=*/true);
+      TimedKernel off_k(k, wasm::DispatchMode::kThreaded, /*fuse=*/true,
+                        /*profile=*/false, wasm::JitTier::kOff);
+      TimedKernel on_k(k, wasm::DispatchMode::kThreaded, /*fuse=*/true,
+                       /*profile=*/true, wasm::JitTier::kOff);
+      for (int r = 0; r < reps + 1; ++r) {
+        TimedKernel& first = r % 2 == 0 ? off_k : on_k;
+        TimedKernel& second = r % 2 == 0 ? on_k : off_k;
+        if (!first.Rep() || !second.Rep()) break;
+      }
+      ModeResult off = off_k.result();
+      ModeResult on = on_k.result();
       if (!off.ok || !on.ok) {
         std::printf("%-14s <failed: %s>\n", k.name,
                     (!off.ok ? off.error : on.error).c_str());

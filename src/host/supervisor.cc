@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -18,6 +19,14 @@ void CloseFds(std::vector<int>& fds) {
     ::close(fd);
   }
   fds.clear();
+}
+
+// Stamps how a dispatched run was stopped before it could finish on its own
+// (shed, budget, unrestorable); Finish reads these fields.
+void MarkStopped(RunReport& report, Outcome outcome, std::string message) {
+  report.outcome = outcome;
+  report.trap = wasm::TrapKind::kHostError;
+  report.trap_message = std::move(message);
 }
 
 }  // namespace
@@ -92,14 +101,19 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
 
 Supervisor::~Supervisor() { Shutdown(); }
 
-RunReport Supervisor::ControlReport(const GuestJob& job, Outcome outcome,
-                                    std::string message) const {
+void Supervisor::Refuse(Task& task, Outcome outcome, std::string message,
+                        const TenantUsage* delta, int64_t queue_nanos,
+                        uint64_t dispatch_seq) {
+  if (delta != nullptr) {
+    ledger_.Charge(task.job.tenant, *delta);
+  }
+  EndRunTel(task.trun, outcome, 0);
   RunReport r;
-  r.outcome = outcome;
-  r.tenant = job.tenant;
-  r.trap = wasm::TrapKind::kHostError;
-  r.trap_message = std::move(message);
-  return r;
+  r.tenant = task.job.tenant;
+  MarkStopped(r, outcome, std::move(message));
+  r.queue_nanos = queue_nanos;
+  r.dispatch_seq = dispatch_seq;
+  task.done.set_value(std::move(r));
 }
 
 void Supervisor::EndRunTel(Telemetry::RunHandle h, Outcome outcome,
@@ -148,10 +162,7 @@ std::future<RunReport> Supervisor::Submit(GuestJob job) {
   if (!reject_reason.empty()) {
     TenantUsage delta;
     delta.rejected = 1;
-    ledger_.Charge(tenant, delta);
-    EndRunTel(task.trun, Outcome::kRejected, 0);
-    task.done.set_value(
-        ControlReport(task.job, Outcome::kRejected, std::move(reject_reason)));
+    Refuse(task, Outcome::kRejected, std::move(reject_reason), &delta);
     return fut;
   }
   if (g_queue_depth_ != nullptr) {
@@ -199,9 +210,6 @@ void Supervisor::Shutdown() {
   std::vector<RunState> abandoned;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Already requested; fall through to join whatever is left.
-    }
     stopping_ = true;
     for (auto& [cookie, st] : parked_) {
       cookies.push_back(cookie);
@@ -219,8 +227,9 @@ void Supervisor::Shutdown() {
     }
   }
   for (RunState& st : abandoned) {
-    FinishAbandoned(std::move(st), Outcome::kShed,
-                    "shed: supervisor shutdown with syscall parked");
+    MarkStopped(st.report, Outcome::kShed,
+                "shed: supervisor shutdown with syscall parked");
+    Finish(std::move(st));
   }
   cv_.notify_all();
   for (std::thread& w : workers_) {
@@ -325,6 +334,10 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   } else {
     st.evicted_snapshot = std::move(*snap);
   }
+  // Harvest the report's process-derived fields while the process is still
+  // here: a run that ends without a restore (shed, budget, shutdown) then
+  // reports what a resident one would.
+  Harvest(proc, st.report);
   // RunOne moved the job's argv/env into the lease; stash them for the
   // restore-time Acquire before the process goes back to the pool.
   st.saved_argv = proc.argv;
@@ -363,39 +376,49 @@ bool Supervisor::RestoreParked(RunState& st) {
     std::ifstream in(st.evicted_path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
-    if (bytes.empty()) {
-      std::string msg = "restore: cannot read " + st.evicted_path;
-      FinishEvictedUnrestorable(std::move(st), std::move(msg));
-      return false;
+  }
+  std::string error;
+  if (bytes.empty()) {
+    error = "restore: cannot read " + st.evicted_path;
+  } else {
+    common::StatusOr<InstancePool::Lease> lease = pool_.Acquire(
+        st.job.module, std::move(st.saved_argv), std::move(st.saved_env));
+    if (!lease.ok()) {
+      error = "restore: " + lease.status().ToString();
+    } else {
+      st.lease = std::move(*lease);
+      common::Status restored =
+          wali::RestoreProcess(bytes.data(), bytes.size(), *st.lease, st.cont);
+      if (!restored.ok()) {
+        // The fresh lease goes back clean; the run itself is unrecoverable
+        // (its only state was the snapshot that just failed to decode). The
+        // evicted fds are still st's to close, so the slot must not close
+        // them too.
+        (void)st.lease->TakeGuestFds();
+        st.lease.Release();
+        error = "restore: " + restored.ToString();
+      }
     }
+  }
+  if (!error.empty()) {
+    // No lease: Finish drops the snapshot and closes the evicted fds. The
+    // park already settled everything the guest consumed, so nothing is
+    // billed twice; the ledger counts the run and one host error.
+    MarkStopped(st.report, Outcome::kTrapped, std::move(error));
+    TenantUsage extra;
+    extra.host_errors = 1;
+    Finish(std::move(st), extra);
+    return false;
+  }
+  if (!st.evicted_path.empty()) {
     std::remove(st.evicted_path.c_str());
+    st.evicted_path.clear();
   }
-  common::StatusOr<InstancePool::Lease> lease = pool_.Acquire(
-      st.job.module, std::move(st.saved_argv), std::move(st.saved_env));
-  if (!lease.ok()) {
-    FinishEvictedUnrestorable(std::move(st),
-                              "restore: " + lease.status().ToString());
-    return false;
-  }
-  st.lease = std::move(*lease);
   wali::WaliProcess& proc = *st.lease;
-  common::Status restored =
-      wali::RestoreProcess(bytes.data(), bytes.size(), proc, st.cont);
-  if (!restored.ok()) {
-    // The fresh lease goes back clean; the run itself is unrecoverable (its
-    // only state was the snapshot that just failed to decode). The evicted
-    // fds are still st's to close, so the slot must not close them too.
-    (void)proc.TakeGuestFds();
-    st.lease.Release();
-    FinishEvictedUnrestorable(std::move(st),
-                              "restore: " + restored.ToString());
-    return false;
-  }
   proc.policy = st.job.policy;
   proc.AdoptGuestFds(st.evicted_fds);
   st.evicted_fds.clear();
   st.evicted = false;
-  st.evicted_path.clear();
   restores_total_.fetch_add(1, std::memory_order_relaxed);
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kRestore, clock_(),
@@ -404,28 +427,6 @@ bool Supervisor::RestoreParked(RunState& st) {
     g_evicted_now_->Sub(1);
   }
   return true;
-}
-
-void Supervisor::FinishEvictedUnrestorable(RunState st, std::string message) {
-  CloseFds(st.evicted_fds);
-  RunReport& report = st.report;
-  report.outcome = Outcome::kTrapped;
-  report.trap = wasm::TrapKind::kHostError;
-  report.trap_message = std::move(message);
-  // The park already settled everything the guest consumed (st.reserved is
-  // empty off-worker), so the ledger only records the run and the host
-  // error — nothing is re-billed, nothing is lost.
-  ledger_.SettleSlices(st.job.tenant, st.reserved, TenantUsage{});
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.host_errors = 1;
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    g_evicted_now_->Sub(1);
-  }
-  EndRunTel(st.trun, Outcome::kTrapped, report.fuel_consumed);
-  st.done.set_value(std::move(report));
 }
 
 bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
@@ -503,12 +504,8 @@ void Supervisor::WorkerLoop() {
     for (Task& s : shed) {
       TenantUsage delta;
       delta.shed = 1;
-      ledger_.Charge(s.job.tenant, delta);
-      RunReport r = ControlReport(s.job, Outcome::kShed,
-                                  "shed: deadline expired while queued");
-      r.queue_nanos = clock_() - s.enqueue_nanos;
-      EndRunTel(s.trun, Outcome::kShed, 0);
-      s.done.set_value(std::move(r));
+      Refuse(s, Outcome::kShed, "shed: deadline expired while queued", &delta,
+             clock_() - s.enqueue_nanos);
     }
     if (got_ready) {
       ResumeOne(std::move(ready));
@@ -521,57 +518,50 @@ void Supervisor::WorkerLoop() {
 }
 
 void Supervisor::RunOne(Task& task) {
-  RunState st;
-  st.job = std::move(task.job);
-  st.done = std::move(task.done);
-  st.trun = task.trun;
-  GuestJob& job = st.job;
-  RunReport& report = st.report;
-  report.tenant = job.tenant;
-  report.queue_nanos = clock_() - task.enqueue_nanos;
-  report.dispatch_seq = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const int64_t queue_nanos = clock_() - task.enqueue_nanos;
+  const uint64_t seq = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (tel_ != nullptr) {
-    tel_->Record(st.trun, SpanEvent::kDispatch, clock_());
-    h_queue_->Observe(report.queue_nanos);
+    tel_->Record(task.trun, SpanEvent::kDispatch, clock_());
+    h_queue_->Observe(queue_nanos);
   }
 
   // Cumulative-budget admission: a tenant over any hard limit is refused
   // before a slot is leased; the refusal still consumed a scheduling slot,
   // which keeps an exhausted tenant from pinning the ring.
-  TenantLedger::Verdict verdict = ledger_.Admit(job.tenant);
+  TenantLedger::Verdict verdict = ledger_.Admit(task.job.tenant);
   if (verdict != TenantLedger::Verdict::kAdmit) {
     TenantUsage delta;
     delta.budget_stops = 1;
-    ledger_.Charge(job.tenant, delta);
-    RunReport r = ControlReport(
-        job, Outcome::kBudget,
-        std::string("tenant budget exhausted: ") +
-            TenantLedger::VerdictName(verdict));
-    r.queue_nanos = report.queue_nanos;
-    r.dispatch_seq = report.dispatch_seq;
-    EndRunTel(st.trun, Outcome::kBudget, 0);
-    st.done.set_value(std::move(r));
+    Refuse(task, Outcome::kBudget,
+           std::string("tenant budget exhausted: ") +
+               TenantLedger::VerdictName(verdict),
+           &delta, queue_nanos, seq);
     return;
   }
 
-  common::StatusOr<InstancePool::Lease> lease =
-      pool_.Acquire(job.module, std::move(job.argv), std::move(job.env));
+  common::StatusOr<InstancePool::Lease> lease = pool_.Acquire(
+      task.job.module, std::move(task.job.argv), std::move(task.job.env));
   if (!lease.ok()) {
-    report.outcome = Outcome::kTrapped;
-    report.trap = wasm::TrapKind::kHostError;
-    report.trap_message = lease.status().ToString();
     // The guest never started, but the tenant did consume a dispatch; keep
     // it visible in the ledger instead of vanishing from telemetry.
     TenantUsage delta;
     delta.host_errors = 1;
-    ledger_.Charge(job.tenant, delta);
-    EndRunTel(st.trun, Outcome::kTrapped, 0);
-    st.done.set_value(std::move(report));
+    Refuse(task, Outcome::kTrapped, lease.status().ToString(), &delta,
+           queue_nanos, seq);
     return;
   }
+  RunState st;
+  st.job = std::move(task.job);
+  st.done = std::move(task.done);
+  st.trun = task.trun;
   st.lease = std::move(*lease);
-  wali::WaliProcess& proc = *st.lease;
+  const GuestJob& job = st.job;
+  RunReport& report = st.report;
+  report.tenant = job.tenant;
+  report.queue_nanos = queue_nanos;
+  report.dispatch_seq = seq;
   report.pooled = st.lease.recycled();
+  wali::WaliProcess& proc = *st.lease;
   proc.policy = job.policy;
 
   uint64_t now_in_flight = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -589,44 +579,66 @@ void Supervisor::RunOne(Task& task) {
   if (job.max_frames != 0) {
     opts.max_frames = job.max_frames;
   }
+  // Memory is capped at the allocation (grow past the cap fails) with a
+  // safepoint backstop. Unlike the sliced budgets it is not reserved: it
+  // bounds the run's footprint, not a cumulative pool, so it is armed once
+  // for the whole run (a snapshot carries it across an eviction).
+  TenantBudget budget = ledger_.budget(job.tenant);
+  if (budget.max_mem_pages != 0) {
+    proc.mem_budget_pages.store(budget.max_mem_pages, std::memory_order_release);
+    proc.memory->SetGrowBudgetPages(budget.max_mem_pages);
+  }
+  RunSegment(std::move(st), &opts, job.fuel, 0);
+}
 
-  // Arm mid-run budget enforcement from the tenant's remaining slices,
-  // RESERVED in the ledger up front so concurrent runs of the same tenant
-  // split the cumulative budget instead of each taking the whole remainder
-  // (SettleSlices swaps the reservation for actual consumption at finish).
-  // Fuel rides the interpreter's existing per-instruction check; syscalls
-  // trip in the dispatch wrapper; memory is capped at the allocation (grow
-  // past the cap fails) with a safepoint backstop; CPU trips at WALI
-  // safepoints, armed as a wall-clock deadline, which can only fire early
-  // (wall >= cpu), never grant extra time. A park RELEASES the
-  // reservation (ParkRun settles consumed-so-far and hands the unconsumed
-  // slices back, so a sleeping fleet cannot starve the tenant's runnable
-  // jobs); ResumeOne re-reserves fresh slices after its Admit re-check
-  // and re-arms fuel/CPU/syscall enforcement from the new grant — blocked
-  // wall time is never billed as CPU, and RunState::settled keeps the
-  // finish-time settle from double-billing the parked partials.
-  st.reserved = ledger_.ReserveSlices(job.tenant, job.fuel);
-  if (st.reserved.fuel != 0 && (opts.fuel == 0 || st.reserved.fuel < opts.fuel)) {
-    opts.fuel = st.reserved.fuel;
-    st.fuel_clamped = true;
+void Supervisor::RunSegment(RunState&& st, wasm::ExecOptions* first,
+                            uint64_t fuel_demand, int64_t sys_ret) {
+  wali::WaliProcess& proc = *st.lease;
+  RunReport& report = st.report;
+  // Arm mid-run budget enforcement from slices RESERVED in the ledger up
+  // front, so concurrent runs of the same tenant split the cumulative
+  // budget instead of each taking the whole remainder (a park settles and
+  // releases them; Finish settles the last segment's). Every slice is
+  // "consumed so far + fresh grant":
+  //  - fuel rides the interpreter's per-instruction check: the cap is
+  //    executed + slice, on the first dispatch's options or on the
+  //    suspended interpreter's (tightened, never loosened);
+  //  - CPU trips at WALI safepoints, armed as a wall-clock deadline
+  //    now + slice, which can only fire early (wall >= cpu), never grant
+  //    extra time — and blocked wall time is never billed as CPU;
+  //  - syscalls trip in the dispatch wrapper, which compares the run's
+  //    cumulative dispatch counter (ResetForReuse zeroes it for a fresh
+  //    run) against run_syscalls + slice.
+  wasm::ExecOptions* fuel_opts = first;
+  uint64_t executed = 0;
+  if (first == nullptr && st.cont.susp.ctx != nullptr) {
+    fuel_opts = &st.cont.susp.ctx->opts;
+    executed = st.cont.susp.ctx->executed;
+  }
+  st.reserved = ledger_.ReserveSlices(st.job.tenant, fuel_demand);
+  if (st.reserved.fuel != 0 && fuel_opts != nullptr) {
+    const uint64_t cap = executed + st.reserved.fuel;
+    if (fuel_opts->fuel == 0 || cap < fuel_opts->fuel) {
+      fuel_opts->fuel = cap;
+      st.fuel_clamped = true;
+    }
   }
   if (st.reserved.cpu_nanos != 0) {
     proc.cpu_deadline_nanos.store(common::MonotonicNanos() + st.reserved.cpu_nanos,
                                   std::memory_order_release);
   }
   if (st.reserved.syscalls != 0) {
-    proc.syscall_budget.store(st.reserved.syscalls, std::memory_order_release);
-  }
-  TenantBudget budget = ledger_.budget(job.tenant);
-  if (budget.max_mem_pages != 0) {
-    proc.mem_budget_pages.store(budget.max_mem_pages, std::memory_order_release);
-    proc.memory->SetGrowBudgetPages(budget.max_mem_pages);
+    proc.syscall_budget.store(
+        proc.run_syscalls.load(std::memory_order_acquire) + st.reserved.syscalls,
+        std::memory_order_release);
   }
 
   int64_t cpu0 = common::ThreadCpuNanos();
   int64_t t0 = common::MonotonicNanos();
   wasm::RunResult r =
-      runtime_->RunMain(proc, opts, io_ != nullptr ? &st.cont : nullptr);
+      first != nullptr
+          ? runtime_->RunMain(proc, *first, io_ != nullptr ? &st.cont : nullptr)
+          : runtime_->ResumeMain(proc, st.cont, sys_ret);
   report.wall_nanos += common::MonotonicNanos() - t0;
   report.cpu_nanos += common::ThreadCpuNanos() - cpu0;
 
@@ -634,7 +646,24 @@ void Supervisor::RunOne(Task& task) {
     ParkRun(std::move(st));
     return;
   }
-  FinishRun(std::move(st), r);
+  report.trap = r.trap;
+  report.trap_message = std::move(r.trap_message);
+  report.executed_instrs = r.executed_instrs;
+  report.fuel_consumed = r.executed_instrs;
+  if (r.trap == wasm::TrapKind::kExit) {
+    report.exit_code = r.exit_code;
+  } else if (r.ok() && !r.values.empty()) {
+    report.exit_code = static_cast<int32_t>(r.values[0].i32());
+  }
+  if (r.trap == wasm::TrapKind::kBudgetExhausted ||
+      (r.trap == wasm::TrapKind::kFuelExhausted && st.fuel_clamped)) {
+    report.outcome = Outcome::kBudget;
+  } else if (r.trap == wasm::TrapKind::kNone || r.trap == wasm::TrapKind::kExit) {
+    report.outcome = Outcome::kCompleted;
+  } else {
+    report.outcome = Outcome::kTrapped;
+  }
+  Finish(std::move(st));
 }
 
 void Supervisor::ParkRun(RunState st) {
@@ -657,8 +686,9 @@ void Supervisor::ParkRun(RunState st) {
   if (st.job.deadline_nanos != 0) {
     int64_t remaining = st.job.deadline_nanos - clock_();
     if (remaining <= 0) {
-      FinishAbandoned(std::move(st), Outcome::kShed,
-                      "shed: deadline expired entering a blocking syscall");
+      MarkStopped(report, Outcome::kShed,
+                  "shed: deadline expired entering a blocking syscall");
+      Finish(std::move(st));
       return;
     }
     if (op.kind == wali::IoOp::Kind::kSleep) {
@@ -676,15 +706,15 @@ void Supervisor::ParkRun(RunState st) {
   // settle what it actually consumed so far and hand the unconsumed slices
   // back to the tenant's unreserved pool, so a parked fleet cannot starve
   // the tenant's runnable jobs. ResumeOne re-reserves after its Admit
-  // re-check; the finish paths charge totals minus `settled`, so nothing
-  // is billed twice.
+  // re-check; Finish charges totals minus `settled`, so nothing is billed
+  // twice.
   {
     TenantUsage sofar;
     sofar.fuel = report.fuel_consumed - st.settled.fuel;
     sofar.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
     // Trace-counted dispatches: same source as the finish-time report (a
     // budget-tripped dispatch never reaches the trace, so this can never
-    // run ahead of what Finish* will bill).
+    // run ahead of what Finish will bill).
     sofar.syscalls = proc.trace.total_calls() - st.settled.syscalls;
     ledger_.SettleSlices(st.job.tenant, st.reserved, sofar);
     st.settled.fuel += sofar.fuel;
@@ -717,21 +747,15 @@ void Supervisor::ParkRun(RunState st) {
   if (!parked) {
     // Shutdown already swept the parked set; this run must not slip in
     // behind the sweep and wait on a completion nobody will deliver.
-    FinishAbandoned(std::move(st), Outcome::kShed,
-                    "shed: supervisor shutdown with syscall parked");
+    MarkStopped(st.report, Outcome::kShed,
+                "shed: supervisor shutdown with syscall parked");
+    Finish(std::move(st));
   }
 }
 
 void Supervisor::ResumeOne(ReadyEntry entry) {
   RunState st = std::move(entry.st);
   const IoCompletion& c = entry.completion;
-  // An evicted run exists only as snapshot bytes: rehydrate it into a fresh
-  // slot before anything touches the process. Recorded before kResume so
-  // the trace reads park -> evict -> io_complete -> restore -> resume.
-  if (st.evicted && !RestoreParked(st)) {
-    return;  // resolved as kTrapped/kHostError by the restore path
-  }
-  wali::WaliProcess& proc = *st.lease;
   RunReport& report = st.report;
   const int64_t resume_now = clock_();
   report.blocked_nanos += resume_now - st.park_stamp;
@@ -743,29 +767,38 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
       h_resume_queue_->Observe(resume_now - entry.ready_stamp);
     }
   }
+
+  // Decide before restoring: a run stopped here never executes again, so an
+  // evicted one is finished as it lies (Finish drops its snapshot and closes
+  // its fds) instead of being rehydrated only to be thrown away. Shed: the
+  // job deadline fired while parked (tagged at park time), or the
+  // supervisor clock has passed it regardless of what completed. Budget:
+  // the tenant may have exhausted its cumulative budget (through other
+  // runs) while this guest was parked.
+  const bool shed =
+      (st.timeout_is_shed && c.status == IoCompletion::Status::kTimedOut) ||
+      (st.job.deadline_nanos != 0 && resume_now >= st.job.deadline_nanos);
+  const bool over_budget =
+      !shed && ledger_.Admit(st.job.tenant) != TenantLedger::Verdict::kAdmit;
+  // An evicted run that will resume is rehydrated into a fresh slot first,
+  // so the trace reads park -> evict -> io_complete -> restore -> resume.
+  if (!shed && !over_budget && st.evicted && !RestoreParked(st)) {
+    return;  // resolved as kTrapped/kHostError by the restore path
+  }
   if (tel_ != nullptr) {
-    tel_->Record(st.trun, SpanEvent::kResume, resume_now);
+    tel_->Record(st.trun, SpanEvent::kResume, clock_());
   }
   resumes_total_.fetch_add(1, std::memory_order_relaxed);
-
-  // Shed: the job deadline fired while parked (tagged at park time), or the
-  // supervisor clock has passed it regardless of what completed.
-  const bool deadline_shed =
-      (st.timeout_is_shed && c.status == IoCompletion::Status::kTimedOut) ||
-      (st.job.deadline_nanos != 0 && clock_() >= st.job.deadline_nanos);
-  if (deadline_shed) {
+  if (shed) {
     sheds_while_parked_.fetch_add(1, std::memory_order_relaxed);
-    FinishAbandoned(std::move(st), Outcome::kShed,
-                    "shed: deadline expired while parked");
+    MarkStopped(report, Outcome::kShed, "shed: deadline expired while parked");
+    Finish(std::move(st));
     return;
   }
-
-  // Budget re-check: the tenant may have exhausted its cumulative budget
-  // (through other runs) while this guest was parked.
-  if (ledger_.Admit(st.job.tenant) != TenantLedger::Verdict::kAdmit) {
+  if (over_budget) {
     budget_stops_while_parked_.fetch_add(1, std::memory_order_relaxed);
-    FinishAbandoned(std::move(st), Outcome::kBudget,
-                    "tenant budget exhausted while parked");
+    MarkStopped(report, Outcome::kBudget, "tenant budget exhausted while parked");
+    Finish(std::move(st));
     return;
   }
 
@@ -777,80 +810,27 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
   // syscall re-runs on this worker, prompt now that its op is ready.
   const int64_t sys_ret = c.status == IoCompletion::Status::kError
                               ? c.value
-                              : runtime_->FinishPark(proc, st.cont);
+                              : runtime_->FinishPark(*st.lease, st.cont);
 
-  // Re-reserve budget slices for the on-worker continuation — the park
-  // released this run's reservation back to the tenant's pool. The fresh
-  // slices come out of the CURRENT unreserved remainder (concurrent runs
-  // may have consumed some while we slept), so the cumulative budget stays
-  // hard across park/resume cycles. The suspended interpreter's remaining
-  // fuel bounds the demand (the run can never consume more than that), so
-  // a resumed run near completion takes a small slice and leaves the rest
-  // of the remainder for the tenant's other runs.
+  // The park released this run's reservation; the next segment re-reserves
+  // from the CURRENT unreserved remainder (concurrent runs may have consumed
+  // some while we slept), so the cumulative budget stays hard across
+  // park/resume cycles. The suspended interpreter's remaining fuel bounds
+  // the demand (the run can never consume more than that), so a resumed run
+  // near completion takes a small slice and leaves the rest of the
+  // remainder for the tenant's other runs.
   uint64_t fuel_demand = st.job.fuel;
   if (st.cont.susp.ctx != nullptr && st.cont.susp.ctx->opts.fuel != 0) {
     uint64_t remaining =
         st.cont.susp.ctx->opts.fuel - st.cont.susp.ctx->executed;
     fuel_demand = remaining > 0 ? remaining : 1;
   }
-  st.reserved = ledger_.ReserveSlices(st.job.tenant, fuel_demand);
-  if (st.reserved.fuel != 0 && st.cont.susp.ctx != nullptr) {
-    // Tighten the suspended interpreter's fuel to consumed + the new
-    // slice, so the re-reserved (possibly smaller) grant is enforced by
-    // the same per-instruction mechanism as at first dispatch.
-    uint64_t cap = st.cont.susp.ctx->executed + st.reserved.fuel;
-    if (st.cont.susp.ctx->opts.fuel == 0 || cap < st.cont.susp.ctx->opts.fuel) {
-      st.cont.susp.ctx->opts.fuel = cap;
-      st.fuel_clamped = true;
-    }
-  }
-  // Re-arm the CPU deadline from the fresh slice: the deadline is
-  // wall-clock-based and the park let wall time pass without consuming
-  // CPU, so it restarts from now.
-  if (st.reserved.cpu_nanos != 0) {
-    proc.cpu_deadline_nanos.store(common::MonotonicNanos() + st.reserved.cpu_nanos,
-                                  std::memory_order_release);
-  }
-  if (st.reserved.syscalls != 0) {
-    // The dispatch-wrapper check compares the run's cumulative dispatch
-    // counter, so the new grant is "dispatches so far + fresh slice".
-    proc.syscall_budget.store(
-        proc.run_syscalls.load(std::memory_order_acquire) + st.reserved.syscalls,
-        std::memory_order_release);
-  }
-
-  int64_t cpu0 = common::ThreadCpuNanos();
-  int64_t t0 = common::MonotonicNanos();
-  wasm::RunResult r = runtime_->ResumeMain(proc, st.cont, sys_ret);
-  report.wall_nanos += common::MonotonicNanos() - t0;
-  report.cpu_nanos += common::ThreadCpuNanos() - cpu0;
-
-  if (r.trap == wasm::TrapKind::kSyscallPending) {
-    ParkRun(std::move(st));
-    return;
-  }
-  FinishRun(std::move(st), r);
+  RunSegment(std::move(st), nullptr, fuel_demand, sys_ret);
 }
 
-void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
-  wali::WaliProcess& proc = *st.lease;
-  RunReport& report = st.report;
-  proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-  proc.mem_budget_pages.store(0, std::memory_order_release);
-  proc.syscall_budget.store(0, std::memory_order_release);
-  proc.memory->SetGrowBudgetPages(0);
-
-  report.trap = r.trap;
-  report.trap_message = r.trap_message;
-  report.executed_instrs = r.executed_instrs;
-  report.fuel_consumed = r.executed_instrs;
-  report.mem_high_water_pages = proc.memory->high_water_pages();
-  if (r.trap == wasm::TrapKind::kExit) {
-    report.exit_code = r.exit_code;
-  } else if (r.ok() && !r.values.empty()) {
-    report.exit_code = static_cast<int32_t>(r.values[0].i32());
-  }
-
+void Supervisor::Harvest(wali::WaliProcess& proc, RunReport& report) const {
+  report.syscall_counts.clear();
+  report.total_syscalls = 0;
   const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
   for (size_t id = 0; id < defs.size(); ++id) {
     uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
@@ -861,15 +841,34 @@ void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
   }
   report.wali_nanos = proc.trace.wali_nanos();
   report.kernel_nanos = proc.trace.kernel_nanos();
+  // Max-merged: a restored slot's high-water restarts at the restored size,
+  // below the peak harvested at eviction.
+  report.mem_high_water_pages =
+      std::max(report.mem_high_water_pages, proc.memory->high_water_pages());
+}
 
-  if (r.trap == wasm::TrapKind::kBudgetExhausted ||
-      (r.trap == wasm::TrapKind::kFuelExhausted && st.fuel_clamped)) {
-    report.outcome = Outcome::kBudget;
-  } else if (report.trap == wasm::TrapKind::kNone ||
-             report.trap == wasm::TrapKind::kExit) {
-    report.outcome = Outcome::kCompleted;
+void Supervisor::Finish(RunState st, TenantUsage extra) {
+  RunReport& report = st.report;
+  const bool resident = static_cast<bool>(st.lease);
+  if (resident) {
+    wali::WaliProcess& proc = *st.lease;
+    proc.cpu_deadline_nanos.store(0, std::memory_order_release);
+    proc.mem_budget_pages.store(0, std::memory_order_release);
+    proc.syscall_budget.store(0, std::memory_order_release);
+    proc.memory->SetGrowBudgetPages(0);
+    // Drop a stopped run's suspended interpreter state before the lease goes
+    // back to the pool: the suspension pins the instance and the slot's
+    // exec buffers. (A run that ended on its own holds none.)
+    st.cont.Discard();
+    proc.pending_io.Reset();
+    Harvest(proc, report);
   } else {
-    report.outcome = Outcome::kTrapped;
+    // Evicted: the report was harvested at eviction; what is left of the
+    // run is its snapshot and the fds the eviction kept open.
+    if (!st.evicted_path.empty()) {
+      std::remove(st.evicted_path.c_str());
+    }
+    CloseFds(st.evicted_fds);
   }
 
   // Settle the reservation against actual consumption (minus anything a
@@ -879,101 +878,24 @@ void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
   actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
   actual.syscalls = report.total_syscalls - st.settled.syscalls;
   ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.mem_high_water_pages = report.mem_high_water_pages;
-  if (report.outcome == Outcome::kBudget) {
-    delta.budget_stops = 1;
+  extra.runs += 1;
+  extra.mem_high_water_pages =
+      std::max(extra.mem_high_water_pages, report.mem_high_water_pages);
+  if (report.outcome == Outcome::kShed) {
+    extra.shed += 1;
+  } else if (report.outcome == Outcome::kBudget) {
+    extra.budget_stops += 1;
   }
-  ledger_.Charge(st.job.tenant, delta);
+  ledger_.Charge(st.job.tenant, extra);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   if (tel_ != nullptr) {
+    if (!resident) {
+      g_evicted_now_->Sub(1);
+    }
     h_run_wall_->Observe(report.wall_nanos);
     h_blocked_->Observe(report.blocked_nanos);
   }
   EndRunTel(st.trun, report.outcome, report.fuel_consumed);
-  st.done.set_value(std::move(report));
-}
-
-void Supervisor::FinishAbandoned(RunState st, Outcome outcome,
-                                 std::string message) {
-  if (st.evicted) {
-    // No lease to disarm and no live process to harvest: drop the snapshot
-    // bytes (the park that preceded the evict already settled consumption).
-    if (!st.evicted_path.empty()) {
-      std::remove(st.evicted_path.c_str());
-    }
-    CloseFds(st.evicted_fds);
-    RunReport& report = st.report;
-    report.outcome = outcome;
-    report.trap = wasm::TrapKind::kHostError;
-    report.trap_message = std::move(message);
-    ledger_.SettleSlices(st.job.tenant, st.reserved, TenantUsage{});
-    TenantUsage delta;
-    delta.runs = 1;
-    if (outcome == Outcome::kShed) {
-      delta.shed = 1;
-    } else if (outcome == Outcome::kBudget) {
-      delta.budget_stops = 1;
-    }
-    ledger_.Charge(st.job.tenant, delta);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (tel_ != nullptr) {
-      g_evicted_now_->Sub(1);
-    }
-    EndRunTel(st.trun, outcome, report.fuel_consumed);
-    st.done.set_value(std::move(report));
-    return;
-  }
-  wali::WaliProcess& proc = *st.lease;
-  RunReport& report = st.report;
-  proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-  proc.mem_budget_pages.store(0, std::memory_order_release);
-  proc.syscall_budget.store(0, std::memory_order_release);
-  proc.memory->SetGrowBudgetPages(0);
-  // Drop the suspended interpreter state before the lease goes back to the
-  // pool: the suspension pins the instance and the slot's exec buffers.
-  st.cont.Discard();
-  proc.pending_io.Reset();
-
-  report.outcome = outcome;
-  report.trap = wasm::TrapKind::kHostError;
-  report.trap_message = std::move(message);
-  report.mem_high_water_pages = proc.memory->high_water_pages();
-  const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
-  for (size_t id = 0; id < defs.size(); ++id) {
-    uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
-    if (n > 0) {
-      report.syscall_counts.emplace_back(defs[id].name, n);
-      report.total_syscalls += n;
-    }
-  }
-  report.wali_nanos = proc.trace.wali_nanos();
-  report.kernel_nanos = proc.trace.kernel_nanos();
-
-  // The guest DID run (partially): settle its real consumption (minus what
-  // earlier parks already settled), and record the abandonment in the
-  // admission-outcome counters.
-  TenantUsage actual;
-  actual.fuel = report.fuel_consumed - st.settled.fuel;
-  actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
-  actual.syscalls = report.total_syscalls - st.settled.syscalls;
-  ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.mem_high_water_pages = report.mem_high_water_pages;
-  if (outcome == Outcome::kShed) {
-    delta.shed = 1;
-  } else if (outcome == Outcome::kBudget) {
-    delta.budget_stops = 1;
-  }
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    h_run_wall_->Observe(report.wall_nanos);
-    h_blocked_->Observe(report.blocked_nanos);
-  }
-  EndRunTel(st.trun, outcome, report.fuel_consumed);
   st.done.set_value(std::move(report));
 }
 
@@ -1002,9 +924,7 @@ void Supervisor::ForgetTenant(const std::string& tenant) {
     }
     // Spans close BEFORE the telemetry forget below so the rejected runs do
     // not resurrect the tenant's series row.
-    EndRunTel(t.trun, Outcome::kRejected, 0);
-    t.done.set_value(ControlReport(t.job, Outcome::kRejected,
-                                   "rejected: tenant forgotten"));
+    Refuse(t, Outcome::kRejected, "rejected: tenant forgotten", nullptr);
   }
   // Ledger retention hook; with telemetry wired it also drops the tenant's
   // metric series and spans.

@@ -229,7 +229,11 @@ class Supervisor {
   // worker that picks the run up restores it into a freshly leased slot
   // before resuming. Billing is untouched: the park already settled
   // consumed-so-far and released the reservation, so an evict/restore
-  // cycle adds zero ledger events.
+  // cycle adds zero ledger events. The report's process-derived fields
+  // (syscall counts, WALI/kernel time, memory high-water) are harvested
+  // before the lease goes, and a run whose deadline passes or whose tenant
+  // runs out of budget while it is evicted is finished without a restore,
+  // with the same report a resident run would get.
   //
   // Only timer-class parks (sleeps, the threadless futex timer) are
   // evictable: an fd-class park (read, write, accept, connect, poll)
@@ -280,8 +284,8 @@ class Supervisor {
     // run. A park RELEASES the reservation (settling consumed-so-far), so
     // a sleeping guest's unused slices go back to the tenant's pool and
     // cannot starve its runnable jobs; resume re-reserves after the Admit
-    // re-check. Finish paths charge report totals MINUS this, so nothing
-    // is billed twice.
+    // re-check. Finish charges report totals MINUS this, so nothing is
+    // billed twice.
     TenantUsage settled;
     bool fuel_clamped = false;
     RunReport report;  // accumulated across on-worker segments
@@ -332,34 +336,58 @@ class Supervisor {
   // heads are moved to `*shed` (they do not consume scheduling credit).
   bool PopLocked(Task* out, std::vector<Task>* shed);
   bool RunnableLocked() const { return !ring_.empty(); }
-  // Dispatches one task: admission, lease, budget arming, first guest
-  // segment. Resolves the promise itself unless the run parks.
+
+  // The run lifecycle. A job that never runs a guest instruction leaves
+  // through Refuse. A dispatched run goes RunOne -> RunSegment, then
+  // (ParkRun [-> EvictParked] -> ResumeOne -> RunSegment)* and always
+  // leaves through Finish, whether it completed, trapped, or was stopped,
+  // and whether its state sits in a pool slot or in snapshot bytes.
+  //
+  // Dispatches one task: admission, lease, memory cap, then its first
+  // segment. Refuses the task if the tenant is over budget or no slot can
+  // be leased.
   void RunOne(Task& task);
-  // Continues a parked run whose op completed: materializes the syscall
-  // result and runs the next on-worker segment (which may park again).
+  // Continues a parked run whose op completed. Decides first: a run whose
+  // deadline passed or whose tenant ran out of budget while it was parked
+  // goes straight to Finish (an evicted one is never restored for that).
+  // Otherwise restores an evicted run, materializes the syscall result and
+  // runs the next segment.
   void ResumeOne(ReadyEntry entry);
-  // Parks a suspended run: captures the pending op, tightens its deadline
-  // to the job's, registers it with the backend. Sheds instead when the
-  // deadline already passed or the supervisor is shutting down.
+  // One on-worker segment: reserves fresh budget slices (`fuel_demand`
+  // bounds the fuel slice) and arms them as executed + slice fuel, now +
+  // slice CPU deadline, run_syscalls + slice syscalls; then times RunMain
+  // with `*first` (first dispatch) or, when `first` is null, ResumeMain
+  // with `sys_ret`, and hands the run to ParkRun or Finish.
+  void RunSegment(RunState&& st, wasm::ExecOptions* first,
+                  uint64_t fuel_demand, int64_t sys_ret);
+  // Parks a suspended run: settles consumed-so-far and releases the
+  // reservation, tightens the op's deadline to the job's, registers it with
+  // the backend. Sheds instead (via Finish) when the deadline already
+  // passed or the supervisor is shutting down.
   void ParkRun(RunState st);
-  // Common completion tail: outcome mapping, trace harvest, ledger settle.
-  void FinishRun(RunState st, const wasm::RunResult& r);
-  // Abandons a dispatched run mid-park (shed / budget / shutdown): settles
-  // partial consumption, discards the suspension, resolves the promise.
-  // Handles evicted runs (no lease): the snapshot bytes are simply dropped.
-  void FinishAbandoned(RunState st, Outcome outcome, std::string message);
-  // Rehydrates an evicted run into a freshly leased slot (called by
-  // ResumeOne before the normal resume flow). On failure the run is
-  // resolved as kTrapped/kHostError and false is returned.
+  // The only exit of a dispatched run. The caller has set report.outcome,
+  // trap and message. A resident run is disarmed, its suspension dropped
+  // and its report harvested from the process; an evicted one (no lease)
+  // has its snapshot file removed and its fds closed. Then: settle totals
+  // minus `settled`, charge runs / high-water / shed or budget_stops by
+  // outcome plus `extra`, drop in_flight_, close the span, resolve.
+  void Finish(RunState st, TenantUsage extra = {});
+  // Fills the report's process-derived fields (syscall counts, WALI and
+  // kernel time, memory high-water) from `proc`. Finish calls it for
+  // resident runs, EvictParked before it releases the lease.
+  void Harvest(wali::WaliProcess& proc, RunReport& report) const;
+  // Rehydrates an evicted run into a freshly leased slot. On failure the
+  // run is finished as kTrapped/kHostError (one host error, nothing
+  // re-billed) and false is returned.
   bool RestoreParked(RunState& st);
-  // Resolves an evicted run that cannot be restored (no lease to settle
-  // against; ledger sees only runs += 1, host_errors += 1).
-  void FinishEvictedUnrestorable(RunState st, std::string message);
-  // Report for a job that never ran (shed / rejected / budget-refused).
-  RunReport ControlReport(const GuestJob& job, Outcome outcome,
-                          std::string message) const;
+  // Resolves a job that never ran: charges `delta` (null charges nothing),
+  // closes the span, and resolves a control report carrying the caller's
+  // queue_nanos / dispatch_seq (0 when the job never left the queue).
+  void Refuse(Task& task, Outcome outcome, std::string message,
+              const TenantUsage* delta, int64_t queue_nanos = 0,
+              uint64_t dispatch_seq = 0);
   // Closes a run's span (kFinish + per-outcome counter). No-op without
-  // telemetry; safe on every terminal path, exactly once per BeginRun.
+  // telemetry; called once per BeginRun, by Refuse or Finish.
   void EndRunTel(Telemetry::RunHandle h, Outcome outcome, uint64_t fuel);
 
   wali::WaliRuntime* runtime_;

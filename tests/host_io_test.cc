@@ -1576,6 +1576,15 @@ TEST(HostIo, EvictedRunSpanOrdering) {
   EXPECT_EQ(restores, 1u);
 }
 
+size_t CountOpenFds() {
+  size_t n = 0;
+  DIR* d = ::opendir("/proc/self/fd");
+  if (d == nullptr) return 0;
+  while (::readdir(d) != nullptr) ++n;
+  ::closedir(d);
+  return n;
+}
+
 TEST(HostIo, ShutdownWithEvictedRunResolvesFuture) {
   // Shutdown while a run exists only as snapshot bytes: the future must
   // still resolve (shed, with the fuel settled at park time), and nothing
@@ -1588,12 +1597,107 @@ TEST(HostIo, ShutdownWithEvictedRunResolvesFuture) {
   std::vector<uint64_t> cookies = w.sup->parked_cookies();
   ASSERT_EQ(cookies.size(), 1u);
   ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
+  const host::TenantUsage at_park = w.sup->ledger().usage("t");
 
   w.sup->Shutdown();
   host::RunReport r = slept.get();
   EXPECT_EQ(r.outcome, host::Outcome::kShed);
   EXPECT_GT(r.executed_instrs, 0u) << "park-time fuel settle must survive";
   EXPECT_EQ(w.sup->io_stats().evicted_now, 0u);
+  // The report was harvested at eviction, so it matches what a resident
+  // run shed at the same point would report: the park-time trace (the one
+  // nanosleep, which the park settled into the ledger) and the memory
+  // high-water.
+  EXPECT_EQ(r.total_syscalls, at_park.syscalls);
+  EXPECT_EQ(r.total_syscalls, 1u);
+  EXPECT_EQ(r.syscall_counts,
+            (std::vector<std::pair<std::string, uint64_t>>{{"nanosleep", 1}}));
+  EXPECT_GT(r.mem_high_water_pages, 0u);
+  host::Telemetry::Snapshot snap = w.tel->TakeSnapshot();
+  uint64_t wall_count = 0, blocked_count = 0;
+  for (const auto& h : snap.registry.histograms) {
+    if (h.name == "supervisor_run_wall_nanos") wall_count = h.count;
+    if (h.name == "supervisor_blocked_nanos") blocked_count = h.count;
+  }
+  EXPECT_EQ(wall_count, 1u);
+  EXPECT_EQ(blocked_count, 1u);
+}
+
+// An evicted run that is stopped on resume (deadline or budget) must end
+// from its snapshot-free state: no restore, no pool acquire, its snapshot
+// file removed and its fds closed, and the ledger adds the run and the
+// stop to what the park settled. `stop` arranges the stop after eviction.
+void ExpectEvictedRunStopsWithoutRestore(
+    host::Outcome want, int64_t deadline,
+    const std::function<void(EvictWorld&)>& stop) {
+  std::string dir = testing::TempDir() + "wali_evict_stop_test";
+  ::mkdir(dir.c_str(), 0700);
+  EvictWorld w = MakeEvictWorld(/*workers=*/1, dir);
+  auto module = w.cache->Load(WrapModule(kPipeAcrossSleepGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  const size_t before = CountOpenFds();
+  std::future<host::RunReport> fut =
+      w.sup->Submit(MakeJob(*module, "t", deadline));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
+  std::string path = dir + "/evict-" + std::to_string(cookies[0]) + ".snap";
+  EXPECT_EQ(::access(path.c_str(), F_OK), 0) << "snapshot file must exist";
+  EXPECT_EQ(CountOpenFds(), before + 2) << "the pipe stays open while evicted";
+  const host::TenantUsage at_park = w.sup->ledger().usage("t");
+  const host::InstancePool::Stats pool_at_park = w.sup->pool().stats();
+
+  stop(w);
+  host::RunReport r = fut.get();
+  EXPECT_EQ(r.outcome, want) << r.trap_message;
+  EXPECT_EQ(r.parks, 1u);
+  EXPECT_EQ(r.total_syscalls, at_park.syscalls);
+
+  host::Supervisor::IoStats s = w.sup->io_stats();
+  EXPECT_EQ(s.restores_total, 0u) << "a stopped run must not be restored";
+  EXPECT_EQ(s.evicted_now, 0u);
+  EXPECT_EQ(s.parked_now, 0u);
+  EXPECT_EQ(s.in_flight_now, 0u);
+  const host::InstancePool::Stats pool_now = w.sup->pool().stats();
+  EXPECT_EQ(pool_now.hits, pool_at_park.hits);
+  EXPECT_EQ(pool_now.misses, pool_at_park.misses);
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << "snapshot file must be removed";
+  EXPECT_EQ(CountOpenFds(), before) << "the evicted run's fds are closed";
+
+  host::TenantUsage u = w.sup->ledger().usage("t");
+  EXPECT_EQ(u.runs, at_park.runs + 1);
+  EXPECT_EQ(u.shed, at_park.shed + (want == host::Outcome::kShed ? 1 : 0));
+  EXPECT_EQ(u.budget_stops,
+            at_park.budget_stops + (want == host::Outcome::kBudget ? 1 : 0));
+  EXPECT_EQ(u.fuel, at_park.fuel) << "the park already settled the fuel";
+  EXPECT_EQ(u.fuel, r.fuel_consumed);
+  EXPECT_EQ(u.syscalls, at_park.syscalls);
+  EXPECT_EQ(u.host_errors, at_park.host_errors);
+  ::rmdir(dir.c_str());
+}
+
+TEST(HostIo, EvictedRunShedAtDeadlineIsNotRestored) {
+  // The park folds the 10ms job deadline into the 50ms sleep; when it fires
+  // the run is shed straight from its snapshot-free state.
+  ExpectEvictedRunStopsWithoutRestore(
+      host::Outcome::kShed, /*deadline=*/10 * kMs, [](EvictWorld& w) {
+        w.clock.Advance(10 * kMs);
+        w.fake->AdvanceBy(10 * kMs);
+      });
+}
+
+TEST(HostIo, EvictedRunOverBudgetIsNotRestored) {
+  // The tenant's budget drops below what it already consumed while its
+  // only run sits evicted; the resume's admission re-check stops it.
+  ExpectEvictedRunStopsWithoutRestore(
+      host::Outcome::kBudget, /*deadline=*/0, [](EvictWorld& w) {
+        ASSERT_GT(w.sup->ledger().usage("t").fuel, 1u);
+        host::TenantBudget budget;
+        budget.max_fuel = 1;
+        w.sup->ledger().SetBudget("t", budget);
+        w.fake->AdvanceBy(50 * kMs);
+      });
 }
 
 TEST(HostIo, EvictParkedFutexTimerRestoresWithTimeout) {
@@ -1667,15 +1771,6 @@ TEST(HostIo, EvictionKeepsGuestFdsOpen) {
   EXPECT_TRUE(r.completed()) << r.trap_message;
   EXPECT_EQ(r.exit_code, 77);
   EXPECT_EQ(w.sup->io_stats().restores_total, 1u);
-}
-
-size_t CountOpenFds() {
-  size_t n = 0;
-  DIR* d = ::opendir("/proc/self/fd");
-  if (d == nullptr) return 0;
-  while (::readdir(d) != nullptr) ++n;
-  ::closedir(d);
-  return n;
 }
 
 TEST(HostIo, ShutdownClosesEvictedRunFds) {
