@@ -309,10 +309,14 @@ struct BufferLease {
 
 #if WASM_JIT_OK
 namespace jit {
-// interp.cc's PushFrame, re-exported so the JIT dispatcher's native call
-// path shares the single frame-geometry implementation.
+// interp.cc's PushFrame and CallHost, re-exported so the JIT dispatcher's
+// native call path shares the single frame-geometry and host-call
+// implementations.
 bool PushFrameForJit(ExecContext& ctx, const FuncRef& ref) {
   return PushFrame(ctx, ref);
+}
+TrapKind CallHostForJit(ExecContext& ctx, const HostFunc& host) {
+  return CallHost(ctx, host);
 }
 }  // namespace jit
 #endif

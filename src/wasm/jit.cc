@@ -84,7 +84,10 @@ constexpr uint32_t kExitPollTrap = 5;  // safepoint poll raised a trap
 
 // Deopt exits from one function before its enter-sites stop selecting the
 // compiled code (a loop that deopts every iteration is slower than the
-// interpreter: each round trip pays the trampoline + reconciliation).
+// interpreter: each round trip pays the trampoline + reconciliation). Only
+// true deopts count: ops without a stencil (floating point, conversions,
+// memory.grow), trap conditions and bounds-cache misses. Calls, host
+// imports included, are run by the dispatcher and never count.
 constexpr uint32_t kDeoptBlacklist = 1024;
 
 // Cached-size target for frames with no memory: compiled loads always
@@ -2030,9 +2033,10 @@ TrapKind Execute(ExecContext& ctx) {
         // The stencil stops at the (unexecuted-so-far-as-effects) call op
         // with the segment ending at it already charged — exactly the
         // interpreter's position after SYNC_STATE at a call site. Resolve
-        // the callee with the interpreter's checks, in its order; any trap
-        // condition or host callee deopts so the oracle path executes the
-        // op (billing: uncharge it here, the interp gate re-charges).
+        // the callee with the interpreter's checks, in its order; a trap
+        // condition or an unresolved callee deopts so the oracle path
+        // executes the op (billing: uncharge it here, the interp gate
+        // re-charges).
         ctx.executed = st.executed;
         const Instr& cin = fr->code[xpc];
         const size_t dd = static_cast<size_t>(cf->depth[xpc]);
@@ -2060,8 +2064,8 @@ TrapKind Execute(ExecContext& ctx) {
         } else {
           ref = &fr->inst->func(cin.a);
         }
-        if (!deopt && (ref->IsHost() || ref->code == nullptr)) {
-          deopt = true;  // host (or unresolved) callee: interpreter path
+        if (!deopt && !ref->IsHost() && ref->code == nullptr) {
+          deopt = true;  // unresolved callee: interpreter path
         }
         if (deopt) {
           ctx.executed -= fr->lcost[xpc];
@@ -2073,13 +2077,30 @@ TrapKind Execute(ExecContext& ctx) {
           return TrapKind::kNone;
         }
         fr->pc = xpc + 1;  // the caller's resume point (SYNC_STATE)
+        // The exact args-on-top position CallHost and push_wasm_frame
+        // assume (the indirect index was popped by the check above).
+        const size_t args_top = fr->stack_base + dd - (indirect ? 1 : 0);
+        if (ref->IsHost()) {
+          // The interpreter's host call op, verbatim: no poll, args at the
+          // exact top, and on any trap (a park, an exit) return with the
+          // state it leaves. Otherwise the results sit at the exact top;
+          // the loop top re-reads frames.back() (a re-entrant host may
+          // have reallocated the vector) and the memory size (a host that
+          // grew memory is seen before the next compiled access).
+          ctx.stack.resize(args_top);
+          if (CallHostForJit(ctx, *ref->host) != TrapKind::kNone) {
+            return ctx.trap;
+          }
+          if (EnterableCode(ctx, ctx.frames.back()) != nullptr) {
+            continue;  // caller resumes natively at call_pc + 1
+          }
+          return TrapKind::kNone;  // frame_entry resumes at call_pc + 1
+        }
         if (ctx.opts.scheme == SafepointScheme::kFunction &&
             DispatchPoll(ctx) != TrapKind::kNone) {
           return ctx.trap;  // stack stays inflated, as the interpreter's
         }
-        // Trim to the exact args-on-top position push_wasm_frame assumes
-        // (the indirect index was popped by the check above).
-        ctx.stack.resize(fr->stack_base + dd - (indirect ? 1 : 0));
+        ctx.stack.resize(args_top);
         if (!PushFrameForJit(ctx, *ref)) {
           return ctx.trap;  // kStackExhausted from the shared push path
         }

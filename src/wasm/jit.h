@@ -11,10 +11,13 @@
 // interpreter continues with bit-identical executed_instrs, fuel
 // accounting, trap kinds, and suspension/snapshot state. Anything the
 // stencil table does not cover — floating point, truncations, atomics,
-// memory.grow/fill/copy, host calls — exits to the interpreter, which
-// RE-EXECUTES the instruction from an unconsumed state (the exit uncharges
-// the remainder of the segment first), so the slow ops have exactly one
-// implementation and the switch loop stays the semantics oracle.
+// memory.grow/fill/copy — exits to the interpreter, which RE-EXECUTES the
+// instruction from an unconsumed state (the exit uncharges the remainder of
+// the segment first), so the slow ops have exactly one implementation and
+// the switch loop stays the semantics oracle. Calls exit too, but the
+// dispatcher runs them itself: a wasm callee gets a frame, a host import
+// (a WALI syscall) runs through the interpreter's own CallHost, and
+// compiled code re-enters at call_pc + 1.
 //
 // Entry points are the threaded loop's frame_entry and loop-header hooks
 // (RequestEnter), which also drive count-based tier-up; RunLoop's driver
@@ -63,13 +66,18 @@ bool RequestEnter(ExecContext& ctx);
 // (frames empty, results in plain form at the stack top) or with the
 // interpreter expected to continue at frames.back() (fr->pc / ctx.executed
 // / stack all exact); returns a trap kind on traps raised from native state
-// (safepoint polls). All other traps deopt to the interpreter first so
-// their billing and messages come from the oracle path.
+// (safepoint polls, stack exhaustion at a native call) and on every trap a
+// host call raises, kSyscallPending and kExit included, with the state the
+// interpreter's call op leaves (fr->pc past the call, args popped). All
+// other traps deopt to the interpreter first so their billing and messages
+// come from the oracle path.
 TrapKind Execute(ExecContext& ctx);
 
-// interp.cc's PushFrame, exported for Execute's native call path so frame
-// geometry has exactly one implementation.
+// interp.cc's PushFrame and CallHost, exported for Execute's native call
+// path so frame geometry and host calls each have exactly one
+// implementation.
 bool PushFrameForJit(ExecContext& ctx, const FuncRef& ref);
+TrapKind CallHostForJit(ExecContext& ctx, const HostFunc& host);
 
 #endif  // WASM_JIT_OK
 

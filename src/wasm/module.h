@@ -151,7 +151,7 @@ struct JitModuleState {
   std::atomic<uint64_t> compiles{0};
   std::atomic<uint64_t> compile_failures{0};
   std::atomic<uint64_t> tierups{0};    // interpreter->jit entries taken
-  std::atomic<uint64_t> osr_exits{0};  // deopt/host-call exits back to interp
+  std::atomic<uint64_t> osr_exits{0};  // deopt exits back to the interpreter
   std::atomic<uint64_t> compile_nanos_sum{0};
   // Compile-time histogram, decade buckets matching
   // metrics::LatencyBoundsNanos() (1us..10s, +inf last). Kept as raw atomics

@@ -83,21 +83,18 @@ struct WaliWorld {
   wasm::RunResult result;
 };
 
-// Parses `body` (module fields, prelude prepended), creates a process, runs
-// main, and returns the whole world for inspection.
-inline WaliWorld RunWali(
-    const std::string& body,
-    std::vector<std::string> argv = {"test"},
-    std::vector<std::string> env = {},
-    wasm::SafepointScheme scheme = wasm::SafepointScheme::kLoop) {
+// Parses `body` (module fields, prelude prepended), creates a process under
+// a runtime built with `opts`, runs main, and returns the whole world for
+// inspection.
+inline WaliWorld RunWali(const std::string& body, std::vector<std::string> argv,
+                         std::vector<std::string> env,
+                         const wali::WaliRuntime::Options& opts) {
   WaliWorld world;
   std::string wat = std::string("(module ") + kPrelude + body + ")";
   auto parsed = wasm::ParseAndValidateWat(wat);
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   if (!parsed.ok()) return world;
   world.linker = std::make_unique<wasm::Linker>();
-  wali::WaliRuntime::Options opts;
-  opts.scheme = scheme;
   world.runtime = std::make_unique<wali::WaliRuntime>(world.linker.get(), opts);
   auto proc = world.runtime->CreateProcess(*parsed, std::move(argv), std::move(env));
   EXPECT_TRUE(proc.ok()) << proc.status().ToString();
@@ -105,6 +102,17 @@ inline WaliWorld RunWali(
   world.process = std::move(*proc);
   world.result = world.runtime->RunMain(*world.process);
   return world;
+}
+
+// RunWali under default runtime options and the given safepoint scheme.
+inline WaliWorld RunWali(
+    const std::string& body,
+    std::vector<std::string> argv = {"test"},
+    std::vector<std::string> env = {},
+    wasm::SafepointScheme scheme = wasm::SafepointScheme::kLoop) {
+  wali::WaliRuntime::Options opts;
+  opts.scheme = scheme;
+  return RunWali(body, std::move(argv), std::move(env), opts);
 }
 
 // Expects main to return the i32 `want` (or exit cleanly with it).

@@ -8,12 +8,14 @@
 // agree; the tier-engagement assertions are gated.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/wasm/prepare.h"
 #include "src/wasm/wasm.h"
+#include "tests/wali_test_util.h"
 #include "tests/wat_test_util.h"
 
 namespace {
@@ -36,14 +38,26 @@ struct JitCase {
 // The comparison matrix: the switch oracle, the JIT-off threaded loop, the
 // JIT entered immediately (threshold 0 tiers up at the first OSR seam), and
 // the JIT entered mid-run (a warm threshold, so early iterations/calls are
-// interpreted and compiled code takes over at a loop back-edge or call).
+// interpreted and compiled code takes over at a loop back-edge or call),
+// once more at WaliRuntime's default threshold of 16.
 std::vector<JitCase> Matrix() {
   return {
       {"switch", DispatchMode::kSwitch, JitTier::kOff, 0},
       {"threaded", DispatchMode::kThreaded, JitTier::kOff, 0},
       {"jit0", DispatchMode::kThreaded, JitTier::kOn, 0},
       {"jit-warm", DispatchMode::kThreaded, JitTier::kOn, 13},
+      {"jit16", DispatchMode::kThreaded, JitTier::kOn, 16},
   };
+}
+
+// Sum of a module's per-function deopt counters (JitFuncSlot::deopts).
+uint64_t ModuleDeopts(const wasm::Module& m) {
+  if (m.jit == nullptr) return 0;
+  uint64_t sum = 0;
+  for (size_t i = 0; i < m.functions.size(); ++i) {
+    sum += m.jit->slots[i].deopts.load();
+  }
+  return sum;
 }
 
 struct CaseRun {
@@ -53,14 +67,28 @@ struct CaseRun {
   uint64_t tierups = 0;
   uint64_t compiles = 0;
   uint64_t osr_exits = 0;
+  uint64_t deopts = 0;  // ModuleDeopts
 };
+
+// Copies a module's tier counters into `run`.
+void ReadJitCounters(const wasm::Module& m, CaseRun* run) {
+  if (m.jit == nullptr) return;
+  run->tierups = m.jit->tierups.load();
+  run->compiles = m.jit->compiles.load();
+  run->osr_exits = m.jit->osr_exits.load();
+  run->deopts = ModuleDeopts(m);
+}
+
+// Defines a case's imports on its linker; called once per case, in order.
+using ImportFn = std::function<void(wasm::Linker&)>;
 
 CaseRun RunCase(const std::string& wat, const JitCase& jc,
                 const std::string& func, const std::vector<Value>& args,
-                ExecOptions base = {}, bool fuse = true) {
+                ExecOptions base = {}, bool fuse = true,
+                const ImportFn& add_imports = {}) {
   CaseRun out;
   out.label = jc.label + (fuse ? "" : "+unfused");
-  wasm_test::WatFixture fx = wasm_test::Instantiate(wat);
+  wasm_test::WatFixture fx = wasm_test::Instantiate(wat, add_imports);
   if (fx.instance == nullptr) {
     out.result.trap = TrapKind::kHostError;
     return out;
@@ -79,11 +107,7 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
   if (mem != nullptr) {
     out.mem_pages = mem->size_pages();
   }
-  if (fx.module->jit != nullptr) {
-    out.tierups = fx.module->jit->tierups.load();
-    out.compiles = fx.module->jit->compiles.load();
-    out.osr_exits = fx.module->jit->osr_exits.load();
-  }
+  ReadJitCounters(*fx.module, &out);
   return out;
 }
 
@@ -93,16 +117,19 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
 std::vector<CaseRun> ExpectMatrixAgrees(const std::string& wat,
                                         const std::string& func,
                                         const std::vector<Value>& args,
-                                        ExecOptions base = {}) {
+                                        ExecOptions base = {},
+                                        const ImportFn& add_imports = {}) {
   std::vector<CaseRun> runs;
   for (bool fuse : {true, false}) {
     for (const JitCase& jc : Matrix()) {
-      runs.push_back(RunCase(wat, jc, func, args, base, fuse));
+      runs.push_back(RunCase(wat, jc, func, args, base, fuse, add_imports));
     }
   }
   const CaseRun& ref = runs.front();
   for (const CaseRun& r : runs) {
     EXPECT_EQ(r.result.trap, ref.result.trap) << r.label;
+    EXPECT_EQ(r.result.trap_message, ref.result.trap_message) << r.label;
+    EXPECT_EQ(r.result.exit_code, ref.result.exit_code) << r.label;
     EXPECT_EQ(r.result.executed_instrs, ref.result.executed_instrs) << r.label;
     EXPECT_EQ(r.result.values.size(), ref.result.values.size()) << r.label;
     if (r.result.values.size() != ref.result.values.size()) continue;
@@ -113,6 +140,19 @@ std::vector<CaseRun> ExpectMatrixAgrees(const std::string& wat,
     EXPECT_EQ(r.mem_pages, ref.mem_pages) << r.label;
   }
   return runs;
+}
+
+// Expects every JIT leg (label "jit...", on builds with the tier) to have
+// tiered up and left compiled code exactly `exits` times, each a counted
+// deopt. Host calls are neither: they run from compiled code.
+void ExpectJitLegs(const std::vector<CaseRun>& runs, uint64_t exits) {
+  if (!wasm::JitAvailable()) return;
+  for (const CaseRun& r : runs) {
+    if (r.label.rfind("jit", 0) != 0) continue;
+    EXPECT_GE(r.tierups, 1u) << r.label;
+    EXPECT_EQ(r.osr_exits, exits) << r.label;
+    EXPECT_EQ(r.deopts, exits) << r.label;
+  }
 }
 
 // When the tier is built in, the jit0 case of a hot program must actually
@@ -459,9 +499,10 @@ TEST(WasmJit, SafepointSchemesParity) {
 }
 
 TEST(WasmJit, HostCallDeoptLoopParity) {
-  // A host call inside a hot loop exits compiled code every iteration (the
-  // call op deopts to the interpreter, which runs CallHost): results and
-  // executed counts must stay exact, and the loop must not wedge.
+  // A host call inside a hot loop exits compiled code every iteration, and
+  // the dispatcher runs it through the interpreter's CallHost and re-enters
+  // compiled code after the call op: results and executed counts must stay
+  // exact, the loop must not wedge, and the call must not deopt.
   const char* wat = R"((module
     (import "env" "mix" (func $mix (param i64) (result i64)))
     (func (export "f") (param $n i32) (result i64)
@@ -502,6 +543,9 @@ TEST(WasmJit, HostCallDeoptLoopParity) {
     }
     EXPECT_EQ(r.values[0].bits, ref.values[0].bits) << jc.label;
     EXPECT_EQ(r.executed_instrs, ref.executed_instrs) << jc.label;
+    CaseRun counters{jc.label};
+    ReadJitCounters(*fx.module, &counters);
+    ExpectJitLegs({counters}, 0);
   }
 }
 
@@ -580,6 +624,290 @@ TEST(WasmJit, SuspensionFromCompiledLoopParity) {
   ASSERT_EQ(got.trap, TrapKind::kNone) << got.trap_message;
   EXPECT_EQ(got.values[0].bits, want.values[0].bits);
   EXPECT_EQ(got.executed_instrs, want.executed_instrs);
+  // Parks from the compiled loop return from compiled code directly: none
+  // of the 40 calls exits it or counts as a deopt.
+  CaseRun counters{"jit-suspending"};
+  ReadJitCounters(*suspending.module, &counters);
+  ExpectJitLegs({counters}, 0);
+}
+
+// ---------------------------------------- host calls from compiled code
+
+wasm::FuncType I64ToI64() {
+  wasm::FuncType type;
+  type.params = {wasm::ValType::kI64};
+  type.results = {wasm::ValType::kI64};
+  return type;
+}
+
+wasm::FuncType I32ToI32() {
+  wasm::FuncType type;
+  type.params = {wasm::ValType::kI32};
+  type.results = {wasm::ValType::kI32};
+  return type;
+}
+
+// A loop that calls the host directly and through a wasm helper, so host
+// calls leave both the compiled loop and a compiled callee frame.
+const char* kHostTick = R"((module
+  (import "env" "tick" (func $tick (param i64) (result i64)))
+  (func $via (param $x i64) (result i64)
+    (i64.xor (call $tick (local.get $x)) (i64.const 77)))
+  (func (export "f") (param $n i32) (result i64)
+    (local $i i32) (local $a i64)
+    (local.set $a (i64.const 5))
+    (block $done (loop $l
+      (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+      (local.set $a (i64.add (local.get $a) (call $tick (local.get $a))))
+      (if (i32.and (local.get $i) (i32.const 1))
+        (then (local.set $a (i64.rotl (call $via (local.get $a)) (i64.const 3)))))
+      (local.set $i (i32.add (local.get $i) (i32.const 1)))
+      (br $l)))
+    (local.get $a)))
+)";
+
+TEST(WasmJit, HostSeesExecutedCountParity) {
+  // The host records ctx.executed at every call and folds it into its
+  // result, so the run's value also depends on the count at each call. The
+  // recorded sequences must be equal across tiers.
+  std::vector<std::vector<uint64_t>> seen;  // one log per matrix case
+  ImportFn imports = [&seen](wasm::Linker& linker) {
+    seen.emplace_back();
+    const size_t k = seen.size() - 1;
+    linker.DefineHostFunc(
+        "env", "tick", I64ToI64(),
+        [&seen, k](wasm::ExecContext& ctx, const uint64_t* args,
+                   uint64_t* results) {
+          seen[k].push_back(ctx.executed);
+          results[0] = (args[0] * 31) ^ ctx.executed;
+          return TrapKind::kNone;
+        });
+  };
+  auto runs = ExpectMatrixAgrees(kHostTick, "f", {Value::I32(300)}, {}, imports);
+  ASSERT_EQ(runs.front().result.trap, TrapKind::kNone);
+  ASSERT_EQ(seen.size(), runs.size());
+  EXPECT_EQ(seen.front().size(), 450u);
+  for (size_t k = 1; k < seen.size(); ++k) {
+    EXPECT_EQ(seen[k], seen.front()) << runs[k].label;
+  }
+  ExpectJitLegs(runs, 0);
+}
+
+TEST(WasmJit, HostGrowsMemoryParity) {
+  // The host grows memory by a page on every 16th call and returns the size
+  // in pages; compiled code then stores to and loads from the last word of
+  // the newest page right after the call. The new size must be seen without
+  // a bounds-cache miss, so the only exit is the final access, 8 bytes at
+  // 4 bytes before the end, which traps kMemOutOfBounds.
+  const char* wat = R"((module
+    (import "env" "pages" (func $pages (param i32) (result i32)))
+    (memory 1 8)
+    (func (export "f") (param $n i32) (result i64)
+      (local $i i32) (local $a i64) (local $top i32)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $top (i32.shl (call $pages (local.get $i)) (i32.const 16)))
+        (i64.store (i32.sub (local.get $top) (i32.const 8))
+                   (i64.add (local.get $a) (i64.extend_i32_u (local.get $i))))
+        (local.set $a (i64.add (local.get $a)
+            (i64.load (i32.sub (local.get $top) (i32.const 8)))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (i64.add (local.get $a)
+               (i64.load (i32.sub (local.get $top) (i32.const 4))))))
+  )";
+  ImportFn imports = [](wasm::Linker& linker) {
+    linker.DefineHostFunc(
+        "env", "pages", I32ToI32(),
+        [](wasm::ExecContext& ctx, const uint64_t* args, uint64_t* results) {
+          wasm::Memory* mem = ctx.current_memory();
+          if (static_cast<uint32_t>(args[0]) % 16 == 15 && mem->Grow(1) < 0) {
+            ctx.SetTrap(TrapKind::kHostError, "grow failed");
+            return ctx.trap;
+          }
+          results[0] = mem->size_pages();
+          return TrapKind::kNone;
+        });
+  };
+  auto runs = ExpectMatrixAgrees(wat, "f", {Value::I32(100)}, {}, imports);
+  EXPECT_EQ(runs.front().result.trap, TrapKind::kMemOutOfBounds);
+  EXPECT_EQ(runs.front().mem_pages, 7u);
+  ExpectJitLegs(runs, 1);
+}
+
+TEST(WasmJit, HostExitMidLoopParity) {
+  // The host ends the run on its 40th call the way SYS_exit does: it
+  // requests the exit and returns kNone. The trap returns from compiled
+  // code with the interpreter's state, and nothing deopts.
+  const char* wat = R"((module
+    (import "env" "step" (func $step (param i64) (result i64)))
+    (func (export "f") (param $n i32) (result i64)
+      (local $i i32) (local $a i64)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $a (i64.add (local.get $a) (call $step (local.get $a))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $a)))
+  )";
+  ImportFn imports = [](wasm::Linker& linker) {
+    auto calls = std::make_shared<int>(0);
+    linker.DefineHostFunc(
+        "env", "step", I64ToI64(),
+        [calls](wasm::ExecContext& ctx, const uint64_t* args,
+                uint64_t* results) {
+          if (++*calls == 40) {
+            ctx.RequestExit(7);
+            return TrapKind::kNone;
+          }
+          results[0] = args[0] * 3 + 1;
+          return TrapKind::kNone;
+        });
+  };
+  auto runs = ExpectMatrixAgrees(wat, "f", {Value::I32(1000)}, {}, imports);
+  EXPECT_EQ(runs.front().result.trap, TrapKind::kExit);
+  EXPECT_EQ(runs.front().result.exit_code, 7);
+  ExpectJitLegs(runs, 0);
+}
+
+TEST(WasmJit, HostCallIndirectParity) {
+  // call_indirect through a table whose first entry is a host import, mixed
+  // with wasm entries: every third call reaches the host.
+  const char* wat = R"((module
+    (type $op (func (param i32) (result i32)))
+    (import "env" "scale" (func $scale (type $op)))
+    (table 3 funcref)
+    (func $inc (type $op) (i32.add (local.get 0) (i32.const 5)))
+    (func $mix (type $op) (i32.xor (local.get 0) (i32.const 23130)))
+    (elem (i32.const 0) $scale $inc $mix)
+    (func (export "f") (param $n i32) (result i32)
+      (local $i i32) (local $acc i32)
+      (local.set $acc (i32.const 1))
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $acc (call_indirect (type $op)
+            (local.get $acc)
+            (i32.rem_u (local.get $i) (i32.const 3))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc)))
+  )";
+  ImportFn imports = [](wasm::Linker& linker) {
+    linker.DefineHostFunc(
+        "env", "scale", I32ToI32(),
+        [](wasm::ExecContext&, const uint64_t* args, uint64_t* results) {
+          results[0] = static_cast<uint32_t>(args[0]) * 7u + 1u;
+          return TrapKind::kNone;
+        });
+  };
+  auto runs = ExpectMatrixAgrees(wat, "f", {Value::I32(600)}, {}, imports);
+  EXPECT_EQ(runs.front().result.trap, TrapKind::kNone);
+  ExpectJitLegs(runs, 0);
+}
+
+TEST(WasmJit, FuelSweepAcrossHostCalls) {
+  // Every fuel limit across a loop with host calls: a run that runs out of
+  // fuel stops at executed == fuel + 1 on every tier, whether the boundary
+  // lands before, at or after a host call made from compiled code.
+  ImportFn imports = [](wasm::Linker& linker) {
+    linker.DefineHostFunc(
+        "env", "tick", I64ToI64(),
+        [](wasm::ExecContext&, const uint64_t* args, uint64_t* results) {
+          results[0] = args[0] * 2654435761u + 11u;
+          return TrapKind::kNone;
+        });
+  };
+  ExecOptions probe;
+  probe.dispatch = DispatchMode::kSwitch;
+  wasm_test::WatFixture fx = wasm_test::Instantiate(kHostTick, imports);
+  ASSERT_NE(fx.instance, nullptr);
+  RunResult full = fx.instance->CallExport("f", {Value::I32(24)}, probe);
+  ASSERT_EQ(full.trap, TrapKind::kNone);
+  const uint64_t total = full.executed_instrs;
+  ASSERT_GT(total, 100u);
+  for (uint64_t fuel = 1; fuel <= total + 1; ++fuel) {
+    ExecOptions base;
+    base.fuel = fuel;
+    auto runs =
+        ExpectMatrixAgrees(kHostTick, "f", {Value::I32(24)}, base, imports);
+    ASSERT_FALSE(HasFailure()) << "fuel=" << fuel;
+    if (runs.front().result.trap == TrapKind::kFuelExhausted) {
+      ASSERT_EQ(runs.front().result.executed_instrs, fuel + 1) << "fuel=" << fuel;
+    } else {
+      ASSERT_EQ(runs.front().result.trap, TrapKind::kNone) << "fuel=" << fuel;
+    }
+  }
+}
+
+TEST(WasmJit, WaliSocketpairLoopParity) {
+  // The paper's core path through compiled code with real syscalls: a
+  // guest makes a socketpair and sends a message around it 200 times, as
+  // the kv workload does, under WaliRuntime with the JIT on and off. The
+  // result, the executed count and every per-syscall count must agree, and
+  // the JIT run must stay compiled across the syscalls.
+  const std::string body = R"(
+    (memory 1)
+    (func (export "main") (result i32)
+      (local $c i64) (local $s i64) (local $r i32) (local $sum i32)
+      (if (i64.ne (call $socketpair (i64.const 1) (i64.const 1) (i64.const 0)
+                                    (i64.const 16))
+                  (i64.const 0))
+        (then (return (i32.const -1))))
+      (local.set $c (i64.load32_s (i32.const 16)))
+      (local.set $s (i64.load32_s (i32.const 20)))
+      (block $done (loop $round
+        (br_if $done (i32.ge_u (local.get $r) (i32.const 200)))
+        (i32.store (i32.const 256) (i32.mul (local.get $r) (i32.const 40503)))
+        (i32.store (i32.const 260) (local.get $sum))
+        (if (i64.ne (call $write (local.get $c) (i64.const 256) (i64.const 8))
+                    (i64.const 8))
+          (then (return (i32.const -2))))
+        (if (i64.ne (call $read (local.get $s) (i64.const 512) (i64.const 8))
+                    (i64.const 8))
+          (then (return (i32.const -3))))
+        (i32.store (i32.const 512)
+                   (i32.add (i32.load (i32.const 512)) (i32.load (i32.const 516))))
+        (if (i64.ne (call $write (local.get $s) (i64.const 512) (i64.const 4))
+                    (i64.const 4))
+          (then (return (i32.const -4))))
+        (if (i64.ne (call $read (local.get $c) (i64.const 768) (i64.const 4))
+                    (i64.const 4))
+          (then (return (i32.const -5))))
+        (local.set $sum (i32.xor (i32.rotl (local.get $sum) (i32.const 5))
+                                 (i32.load (i32.const 768))))
+        (local.set $r (i32.add (local.get $r) (i32.const 1)))
+        (br $round)))
+      (drop (call $close (local.get $c)))
+      (drop (call $close (local.get $s)))
+      (local.get $sum))
+  )";
+  std::vector<wali_test::WaliWorld> worlds;
+  for (JitTier tier : {JitTier::kOn, JitTier::kOff}) {
+    wali::WaliRuntime::Options opts;
+    opts.jit = tier;
+    worlds.push_back(wali_test::RunWali(body, {"test"}, {}, opts));
+    ASSERT_NE(worlds.back().process, nullptr) << wasm::JitTierName(tier);
+    const RunResult& r = worlds.back().result;
+    ASSERT_EQ(r.trap, TrapKind::kNone)
+        << wasm::JitTierName(tier) << " " << r.trap_message;
+    ASSERT_EQ(r.values.size(), 1u);
+    EXPECT_GE(static_cast<int32_t>(r.values[0].i32()), 0) << r.values[0].i32();
+  }
+  const wali_test::WaliWorld& on = worlds[0];
+  const wali_test::WaliWorld& off = worlds[1];
+  EXPECT_EQ(on.result.values[0].bits, off.result.values[0].bits);
+  EXPECT_EQ(on.result.executed_instrs, off.result.executed_instrs);
+  EXPECT_GE(off.process->trace.total_calls(), 800u);
+  for (uint32_t id = 0; id < wali::kMaxTracedSyscalls; ++id) {
+    EXPECT_EQ(on.process->trace.count(id), off.process->trace.count(id))
+        << "syscall " << id;
+  }
+  if (wasm::JitAvailable()) {
+    const wasm::JitModuleState& js = *on.process->module->jit;
+    EXPECT_GT(js.tierups.load(), 0u);
+    EXPECT_EQ(js.osr_exits.load(), 0u);
+    EXPECT_EQ(ModuleDeopts(*on.process->module), 0u);
+  }
 }
 
 TEST(WasmJit, JitOffNeverTiersUp) {
